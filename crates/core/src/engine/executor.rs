@@ -49,14 +49,14 @@ use crate::engine::base;
 use crate::engine::faults::{self, lock_recover};
 use crate::engine::loops;
 use crate::engine::plan::{CloneMode, EngineKind, ExecutionPlan, ScheduleMode, Sharding};
-use crate::engine::schedule::{self, CacheLookup, Schedule};
+use crate::engine::schedule::{self, Schedule};
 use crate::engine::shard;
 use crate::engine::walker::{cut_with_strategy, CutStrategy, Walker};
 use crate::grid::{PochoirArray, RawGrid};
 use crate::kernel::{StencilKernel, StencilSpec};
 use crate::view::{AccessTracer, TracingView};
 use crate::zoid::Zoid;
-use pochoir_runtime::{Parallelism, Runtime, Serial};
+use pochoir_runtime::{Counter, Parallelism, Runtime, Serial};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -133,14 +133,6 @@ impl GeometryError {
 /// the capacity when more heights are pre-compiled deliberately.
 const DEFAULT_PINNED_SCHEDULES: usize = 4;
 
-/// How a run obtained its schedule; decides what is reported to the runtime's metrics.
-enum Resolution {
-    /// Replayed the pinned `Arc<Schedule>` without touching the global cache.
-    Reused,
-    /// Fetched (and re-pinned) from the global cache with this outcome.
-    Fetched(CacheLookup),
-}
-
 /// The kernel-independent half of an executor session: validated geometry, resolved
 /// strategy, pinned schedule, and session counters.
 ///
@@ -171,11 +163,6 @@ pub struct CompiledProgram<const D: usize> {
     /// `schedule` mutex — which [`resolve_schedule`](Self::resolve_schedule) holds
     /// across whole schedule compilations.
     pinned_leaves: AtomicUsize,
-    /// Cache outcomes of eager compilations ([`new`](Self::new) and
-    /// [`precompile_windows`](Self::precompile_windows)), reported to the runtime's
-    /// metrics by the next run that has a metrics sink (so per-run cache accounting
-    /// matches the pre-session behaviour of `engine::run`).
-    pending: Mutex<Vec<CacheLookup>>,
     metrics: SessionMetrics,
 }
 
@@ -219,14 +206,10 @@ impl<const D: usize> CompiledProgram<D> {
             schedule: Mutex::new(Vec::new()),
             pin_capacity: AtomicUsize::new(DEFAULT_PINNED_SCHEDULES),
             pinned_leaves: AtomicUsize::new(0),
-            pending: Mutex::new(Vec::new()),
             metrics: SessionMetrics::default(),
         };
         if window > 0 && program.takes_compiled_route(window) {
-            let (_, resolution) = program.resolve_schedule(window);
-            if let Resolution::Fetched(lookup) = resolution {
-                lock_recover(&program.pending).push(lookup);
-            }
+            program.resolve_schedule(window);
         }
         Ok(program)
     }
@@ -294,11 +277,8 @@ impl<const D: usize> CompiledProgram<D> {
         self.pin_capacity.fetch_max(wanted, Ordering::Relaxed);
         let mut fetched = 0;
         for &height in heights {
-            if height > 0 && self.takes_compiled_route(height) {
-                if let (_, Resolution::Fetched(lookup)) = self.resolve_schedule(height) {
-                    fetched += 1;
-                    lock_recover(&self.pending).push(lookup);
-                }
+            if height > 0 && self.takes_compiled_route(height) && self.resolve_schedule(height).1 {
+                fetched += 1;
             }
         }
         fetched
@@ -328,8 +308,9 @@ impl<const D: usize> CompiledProgram<D> {
     /// Returns the schedule for windows of `height`: a pinned one when a pin of that
     /// height exists (an MRU *touch*), otherwise a (counted) global-cache fetch that
     /// pins the result, dropping the least recently used pin beyond the session's
-    /// pin capacity.
-    fn resolve_schedule(&self, height: i64) -> (Arc<Schedule<D>>, Resolution) {
+    /// pin capacity.  The flag says whether the schedule was fetched (`false`: a
+    /// pinned replay).
+    fn resolve_schedule(&self, height: i64) -> (Arc<Schedule<D>>, bool) {
         let strategy = self
             .strategy
             .expect("compiled route requires a cut strategy");
@@ -338,7 +319,7 @@ impl<const D: usize> CompiledProgram<D> {
             let pinned = slot.remove(pos);
             slot.insert(0, Arc::clone(&pinned));
             self.metrics.schedule_reuses.fetch_add(1, Ordering::Relaxed);
-            return (pinned, Resolution::Reused);
+            return (pinned, false);
         }
         let (fetched, lookup) = schedule::schedule_for(
             self.sizes,
@@ -361,7 +342,7 @@ impl<const D: usize> CompiledProgram<D> {
         slot.truncate(self.pin_capacity.load(Ordering::Relaxed));
         self.pinned_leaves
             .store(slot.iter().map(|s| s.num_leaves()).sum(), Ordering::Relaxed);
-        (fetched, Resolution::Fetched(lookup))
+        (fetched, true)
     }
 
     /// Validates `array` against the session geometry (the checks `Pochoir` and
@@ -415,10 +396,7 @@ impl<const D: usize> CompiledProgram<D> {
         }
         self.metrics.runs.fetch_add(1, Ordering::Relaxed);
         // Publish the row-kernel ISA this run dispatches to (plan policy ∩ host
-        // detection ∩ POCHOIR_SIMD), and snapshot the advisory SIMD row counters
-        // so the delta can be forwarded to the runtime metrics afterwards.  The
-        // sharded route skips the snapshot: its tile runs re-enter this method and
-        // report their own row deltas.
+        // detection ∩ POCHOIR_SIMD).
         crate::simd::set_active(crate::simd::resolve(self.plan.simd));
         if let Some(strategy) = self.strategy {
             if !self.takes_compiled_route(t1 - t0) {
@@ -429,7 +407,7 @@ impl<const D: usize> CompiledProgram<D> {
                     self.metrics
                         .schedule_rejections
                         .fetch_add(1, Ordering::Relaxed);
-                    par.note_schedule_compile_rejections(1);
+                    par.note(Counter::ScheduleCompileRejections, 1);
                     if self.plan.sharding != Sharding::Off
                         && shard::execute(array, &self.spec, &self.plan, kernel, t0, t1, par)
                             .is_ok()
@@ -439,7 +417,6 @@ impl<const D: usize> CompiledProgram<D> {
                     }
                 }
                 self.metrics.recursive_runs.fetch_add(1, Ordering::Relaxed);
-                let (sse2_before, avx2_before) = crate::simd::rows_snapshot();
                 run_recursive(
                     array.raw(),
                     &self.spec,
@@ -450,39 +427,13 @@ impl<const D: usize> CompiledProgram<D> {
                     par,
                     strategy,
                 );
-                note_simd_delta(sse2_before, avx2_before, par);
                 return;
             }
         }
-        let (sse2_before, avx2_before) = crate::simd::rows_snapshot();
         let grid = array.raw();
         match self.strategy {
             Some(_) => {
-                let (schedule, resolution) = self.resolve_schedule(t1 - t0);
-                let report = |lookup: CacheLookup| {
-                    par.note_schedule_cache(lookup.hit);
-                    if lookup.evicted > 0 {
-                        par.note_schedule_evictions(lookup.evicted);
-                    }
-                };
-                // Report the eager build/precompile-time lookups on the first run
-                // that has a metrics sink (even when this run fetched a different
-                // height), so runtime counters match the global cache's actual
-                // traffic; pinned replays beyond that count as hits.
-                let pending = std::mem::take(&mut *lock_recover(&self.pending));
-                let had_pending = !pending.is_empty();
-                for lookup in pending {
-                    report(lookup);
-                }
-                match resolution {
-                    // An eager lookup already accounts for this run's schedule.
-                    Resolution::Reused if had_pending => {}
-                    Resolution::Reused => report(CacheLookup {
-                        hit: true,
-                        evicted: 0,
-                    }),
-                    Resolution::Fetched(lookup) => report(lookup),
-                }
+                let (schedule, _) = self.resolve_schedule(t1 - t0);
                 schedule.execute(grid, kernel, t0, &self.plan, par);
             }
             None => match self.plan.engine {
@@ -498,7 +449,6 @@ impl<const D: usize> CompiledProgram<D> {
                 EngineKind::Trap | EngineKind::Strap => unreachable!("strategy resolved above"),
             },
         }
-        note_simd_delta(sse2_before, avx2_before, par);
     }
 
     /// Runs `[t0, t1)` through the sharded tile pipeline regardless of whether the
@@ -780,19 +730,6 @@ where
         tracer: &C,
     ) {
         self.program.run_traced(array, &self.kernel, t0, t1, tracer);
-    }
-}
-
-/// Forwards the SIMD row counters accumulated since the `before` snapshot to the
-/// provider's metrics.
-fn note_simd_delta<P: Parallelism>(sse2_before: u64, avx2_before: u64, par: &P) {
-    let (sse2_after, avx2_after) = crate::simd::rows_snapshot();
-    let (sse2, avx2) = (
-        sse2_after.saturating_sub(sse2_before),
-        avx2_after.saturating_sub(avx2_before),
-    );
-    if sse2 > 0 || avx2 > 0 {
-        par.note_simd_rows(sse2, avx2);
     }
 }
 

@@ -81,9 +81,9 @@
 //! compiled decomposition instead of recompiling per call.  The cache evicts
 //! least-recently-used entries under two limits: an entry-count capacity and a *leaf
 //! budget* (total leaves across all entries, the dominant memory term; configurable via
-//! [`set_cache_leaf_budget`]).  Cache outcomes are reported through the executor to
-//! [`Parallelism::note_schedule_cache`] so the runtime's metrics expose hits and
-//! evictions next to steal counters.
+//! [`set_cache_leaf_budget`]).  The cache counts its own hits, compiles and evictions,
+//! read through [`cache_stats`]; sessions count their pinned replays in
+//! `SessionStats`.
 //!
 //! Sessions ([`crate::engine::executor::CompiledStencil`]) pin the `Arc<Schedule>` they
 //! resolve, so even an evicted schedule stays alive for the sessions using it — eviction

@@ -154,7 +154,7 @@ use crate::engine::plan::ExecutionPlan;
 use crate::engine::shard::{self, ShardError, ShardPlan, ShardReport};
 use crate::grid::PochoirArray;
 use crate::kernel::{StencilKernel, StencilSpec};
-use pochoir_runtime::{Parallelism, Runtime};
+use pochoir_runtime::{Counter, Parallelism, Runtime};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -188,14 +188,17 @@ pub struct RegistryLookup {
 
 impl RegistryLookup {
     /// Forwards this lookup to the provider's scheduler metrics
-    /// ([`Parallelism::note_session_registry`] and, when entries were evicted,
-    /// [`Parallelism::note_session_registry_evictions`]).  The single reporting
-    /// protocol shared by [`StencilServer`] and the DSL's `Pochoir` object.
+    /// ([`Counter::SessionRegistryHits`] or [`Counter::SessionRegistryMisses`],
+    /// plus [`Counter::SessionRegistryEvictions`]).  The single reporting protocol
+    /// shared by [`StencilServer`] and the DSL's `Pochoir` object.
     pub fn report_to<P: Parallelism>(&self, par: &P) {
-        par.note_session_registry(self.hit);
-        if self.evicted > 0 {
-            par.note_session_registry_evictions(self.evicted);
-        }
+        let outcome = if self.hit {
+            Counter::SessionRegistryHits
+        } else {
+            Counter::SessionRegistryMisses
+        };
+        par.note(outcome, 1);
+        par.note(Counter::SessionRegistryEvictions, self.evicted);
     }
 }
 
@@ -646,9 +649,9 @@ impl SessionRegistry {
     ///
     /// The [`RegistryLookup`] reports whether an existing program was served and how
     /// many LRU entries were evicted to make room.  Callers with a
-    /// [`Parallelism`] provider at hand should forward the lookup to
-    /// [`Parallelism::note_session_registry`] so the runtime's metrics observe
-    /// registry traffic ([`StencilServer`] and the DSL do this on their next run).
+    /// [`Parallelism`] provider at hand should forward the lookup with
+    /// [`RegistryLookup::report_to`] so the runtime's metrics observe registry
+    /// traffic ([`StencilServer`] and the DSL do this on their next run).
     pub fn get_or_compile<const D: usize>(
         &self,
         spec: &StencilSpec<D>,
@@ -2078,30 +2081,26 @@ where
             }
         }
         let state = into_inner_transient(sched);
-        par.note_serving_windows(state.ticks);
-        par.note_serving_queue_depth(state.peak_ready as u64);
-        if state.deadline_misses > 0 {
-            par.note_serving_deadline_misses(state.deadline_misses);
-        }
-        let sheds = std::mem::take(&mut self.pending_sheds) + state.dispatch_sheds;
-        if sheds > 0 {
-            par.note_serving_shed(sheds);
-        }
-        let retries = std::mem::take(&mut self.pending_retries);
-        if retries > 0 {
-            par.note_serving_retries(retries);
-        }
-        let recovered = faults::take_unreported_poison_recoveries();
-        if recovered > 0 {
-            par.note_registry_poison_recoveries(recovered);
-        }
-        if !shards.is_empty() {
-            par.note_shard_tiles(shards.iter().map(|s| s.plan.tiles().len() as u64).sum());
-        }
-        let exchanged = halo_cells.into_inner();
-        if exchanged > 0 {
-            par.note_shard_halo_cells(exchanged);
-        }
+        par.note(Counter::ServingWindows, state.ticks);
+        par.note(Counter::ServingQueueDepthPeak, state.peak_ready as u64);
+        par.note(Counter::ServingDeadlineMisses, state.deadline_misses);
+        par.note(
+            Counter::ServingShed,
+            std::mem::take(&mut self.pending_sheds) + state.dispatch_sheds,
+        );
+        par.note(
+            Counter::ServingRetries,
+            std::mem::take(&mut self.pending_retries),
+        );
+        par.note(
+            Counter::RegistryPoisonRecoveries,
+            faults::take_unreported_poison_recoveries(),
+        );
+        par.note(
+            Counter::ShardTiles,
+            shards.iter().map(|s| s.plan.tiles().len() as u64).sum(),
+        );
+        par.note(Counter::ShardHaloCells, halo_cells.into_inner());
         let panicked = state
             .outcomes
             .iter()
@@ -2114,7 +2113,7 @@ where
                 self.program.window(),
                 self.quarantine,
             );
-            par.note_serving_quarantined(1);
+            par.note(Counter::ServingQuarantined, 1);
         }
         self.last_drain = Some(DrainReport {
             windows: state.ticks,

@@ -20,8 +20,8 @@
 //! every SIMD body is bitwise-equal to the scalar row loop; the choice is
 //! purely a performance one.
 //!
-//! The module also keeps advisory per-ISA row counters (see [`note_row`]) that
-//! the executor snapshots around each run and forwards to the runtime metrics.
+//! The module also keeps advisory per-ISA row counters (see [`note_row`]), read
+//! process-wide through [`rows_snapshot`].
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -171,8 +171,8 @@ pub fn note_row(isa: SimdIsa) {
     };
 }
 
-/// Cumulative `(sse2, avx2)` SIMD row counts since process start.  The executor
-/// snapshots this around a run and reports the delta to the runtime metrics.
+/// Cumulative `(sse2, avx2)` SIMD row counts since process start — the only
+/// place these counts are kept; callers take deltas between two snapshots.
 pub fn rows_snapshot() -> (u64, u64) {
     (
         ROWS_SSE2.load(Ordering::Relaxed),

@@ -3,114 +3,93 @@
 //! The counters are advisory (relaxed atomics) and exist so that benchmarks and tests can
 //! observe that parallel execution actually happened (e.g. that steals occurred), playing
 //! the role that Cilkview's burdened-dag statistics play in the paper's Figure 9 setup.
+//!
+//! Every counter is declared once, as one row of the table at the bottom of this module:
+//! the row gives its [`Counter`] variant, its [`MetricsSnapshot`] field, its
+//! [`CounterKind`] and its doc, so adding a metric is adding one row.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// How [`Runtime::note`](crate::Runtime::note) folds a value into a counter, and how
+/// [`MetricsSnapshot::delta`] compares two readings of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterKind {
+    /// A running total: values are added; a delta is the difference.
+    Sum,
+    /// A high-water mark (a gauge, not a counter): the maximum value is kept; a
+    /// delta carries the later reading.
+    Peak,
+}
+
+/// Generates [`Counter`] and [`MetricsSnapshot`] from one table of
+/// `Variant => field: Kind` rows, each with its doc.
+macro_rules! counters {
+    ($( $(#[doc = $doc:literal])+ $variant:ident => $field:ident: $kind:ident, )+) => {
+        /// One runtime counter: a row of the metrics table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $( $(#[doc = $doc])+ $variant, )+
+        }
+
+        impl Counter {
+            /// Number of counters in the table.
+            pub const COUNT: usize = [$(Counter::$variant),+].len();
+
+            /// Every counter, in table order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant),+];
+
+            /// The counter's [`MetricsSnapshot`] field name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => stringify!($field),)+
+                }
+            }
+
+            /// Whether the counter is a running total or a high-water mark.
+            pub const fn kind(self) -> CounterKind {
+                match self {
+                    $(Counter::$variant => CounterKind::$kind,)+
+                }
+            }
+        }
+
+        /// A point-in-time copy of the scheduler counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $( $(#[doc = $doc])+ pub $field: u64, )+
+        }
+
+        impl MetricsSnapshot {
+            /// The reading of `counter` in this snapshot.
+            pub fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $(Counter::$variant => self.$field,)+
+                }
+            }
+
+            fn get_mut(&mut self, counter: Counter) -> &mut u64 {
+                match counter {
+                    $(Counter::$variant => &mut self.$field,)+
+                }
+            }
+        }
+    };
+}
+
 /// Counters accumulated over the lifetime of a worker registry (one per
 /// [`Runtime`](crate::Runtime)).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
-    spawned: AtomicU64,
-    stolen: AtomicU64,
-    executed: AtomicU64,
+    counters: [AtomicU64; Counter::COUNT],
     /// Jobs executed per worker (the pool's work distribution); empty when the
     /// metrics were built without a worker count.
     per_worker_executed: Box<[AtomicU64]>,
-    schedule_cache_hits: AtomicU64,
-    schedule_cache_misses: AtomicU64,
-    schedule_cache_evictions: AtomicU64,
-    session_registry_hits: AtomicU64,
-    session_registry_misses: AtomicU64,
-    session_registry_evictions: AtomicU64,
-    serving_windows: AtomicU64,
-    serving_deadline_misses: AtomicU64,
-    serving_queue_depth_peak: AtomicU64,
-    serving_shed: AtomicU64,
-    serving_retries: AtomicU64,
-    serving_quarantined: AtomicU64,
-    registry_poison_recoveries: AtomicU64,
-    simd_rows_sse2: AtomicU64,
-    simd_rows_avx2: AtomicU64,
-    schedule_compile_rejections: AtomicU64,
-    shard_tiles: AtomicU64,
-    shard_halo_cells: AtomicU64,
-    net_connections: AtomicU64,
-    net_frames_in: AtomicU64,
-    net_frames_out: AtomicU64,
-    net_bytes_in: AtomicU64,
-    net_bytes_out: AtomicU64,
-    net_protocol_errors: AtomicU64,
 }
 
-/// A point-in-time copy of the scheduler counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Jobs pushed onto any deque or the injector.
-    pub spawned: u64,
-    /// Jobs obtained by stealing (from a peer deque or the injector).
-    pub stolen: u64,
-    /// Jobs executed to completion.
-    pub executed: u64,
-    /// Compiled-schedule lookups served from the schedule cache.
-    pub schedule_cache_hits: u64,
-    /// Compiled-schedule lookups that had to compile a fresh schedule.
-    pub schedule_cache_misses: u64,
-    /// Schedule-cache entries evicted (LRU, under the entry or leaf-budget limits) by
-    /// lookups reported to this runtime.
-    pub schedule_cache_evictions: u64,
-    /// Session-registry lookups served by an already-compiled `CompiledProgram`.
-    pub session_registry_hits: u64,
-    /// Session-registry lookups that had to compile a fresh `CompiledProgram`.
-    pub session_registry_misses: u64,
-    /// Session-registry entries evicted (LRU) by lookups reported to this runtime.
-    pub session_registry_evictions: u64,
-    /// Per-window work items executed by pipelined serving drains.
-    pub serving_windows: u64,
-    /// Submissions whose final window was dispatched after its logical deadline.
-    pub serving_deadline_misses: u64,
-    /// High-water mark of the serving ready queue (a gauge, not a counter:
-    /// [`MetricsSnapshot::delta`] reports the later snapshot's value).
-    pub serving_queue_depth_peak: u64,
-    /// Requests rejected by serving admission control — at submit time (quota or
-    /// watermark exceeded) or at dispatch time (logical deadline already unmeetable).
-    pub serving_shed: u64,
-    /// Session-compilation retry attempts performed by the serving layer's bounded
-    /// retry-with-backoff policy after a `CompileFailed` lookup.
-    pub serving_retries: u64,
-    /// Session keys quarantined in the serving registry after a tenant panic
-    /// (evicted, or additionally banned for a number of lookups).
-    pub serving_quarantined: u64,
-    /// Poisoned shared-state locks (registry, session pin sets, schedule cache)
-    /// recovered instead of propagating the poison panic.
-    pub registry_poison_recoveries: u64,
-    /// Grid rows executed by an SSE2-specialized row-kernel body during runs
-    /// reported to this runtime (advisory, like all counters here).
-    pub simd_rows_sse2: u64,
-    /// Grid rows executed by an AVX2-specialized row-kernel body during runs
-    /// reported to this runtime.
-    pub simd_rows_avx2: u64,
-    /// Window runs whose geometry failed `should_compile` and were demoted off the
-    /// compiled-arena path (onto sharded tiles or the recursive reference walker).
-    pub schedule_compile_rejections: u64,
-    /// Tile executions launched by sharded giant-grid runs (one count per tile per
-    /// window phase).
-    pub shard_tiles: u64,
-    /// Grid cells copied by shard halo-exchange syncs between tile neighbours
-    /// (seam strips only; the one-time scatter/gather is not counted).
-    pub shard_halo_cells: u64,
-    /// TCP connections accepted by a network stencil service in this process.
-    pub net_connections: u64,
-    /// Protocol frames decoded off client connections.
-    pub net_frames_in: u64,
-    /// Protocol frames written back to clients.
-    pub net_frames_out: u64,
-    /// Wire bytes read off client connections (length prefixes included).
-    pub net_bytes_in: u64,
-    /// Wire bytes written back to clients (length prefixes included).
-    pub net_bytes_out: u64,
-    /// Frames rejected as malformed (truncated, oversized, unknown opcode,
-    /// version mismatch, or a server-to-client opcode sent by a client).
-    pub net_protocol_errors: u64,
+impl Default for Metrics {
+    fn default() -> Self {
+        Self::with_workers(0)
+    }
 }
 
 impl Metrics {
@@ -123,25 +102,26 @@ impl Metrics {
     /// `workers` pool threads (the pool's work-distribution histogram).
     pub fn with_workers(workers: usize) -> Self {
         Metrics {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             per_worker_executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            ..Self::default()
         }
     }
 
+    /// Records `value` against `counter`: added for a [`CounterKind::Sum`], kept
+    /// if larger for a [`CounterKind::Peak`].
     #[inline]
-    pub(crate) fn note_spawn(&self) {
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_steal(&self) {
-        self.stolen.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn note(&self, counter: Counter, value: u64) {
+        let slot = &self.counters[counter as usize];
+        match counter.kind() {
+            CounterKind::Sum => slot.fetch_add(value, Ordering::Relaxed),
+            CounterKind::Peak => slot.fetch_max(value, Ordering::Relaxed),
+        };
     }
 
     /// Records a job executed by worker `index` (and in the aggregate counter).
     #[inline]
     pub(crate) fn note_execute_on(&self, index: usize) {
-        self.executed.fetch_add(1, Ordering::Relaxed);
+        self.note(Counter::Executed, 1);
         if let Some(slot) = self.per_worker_executed.get(index) {
             slot.fetch_add(1, Ordering::Relaxed);
         }
@@ -156,346 +136,142 @@ impl Metrics {
             .collect()
     }
 
-    #[inline]
-    pub(crate) fn note_serving_windows(&self, windows: u64) {
-        self.serving_windows.fetch_add(windows, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_deadline_misses(&self, misses: u64) {
-        self.serving_deadline_misses
-            .fetch_add(misses, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_queue_depth(&self, depth: u64) {
-        self.serving_queue_depth_peak
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_shed(&self, shed: u64) {
-        self.serving_shed.fetch_add(shed, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_retries(&self, retries: u64) {
-        self.serving_retries.fetch_add(retries, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_quarantined(&self, quarantined: u64) {
-        self.serving_quarantined
-            .fetch_add(quarantined, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_registry_poison_recoveries(&self, recovered: u64) {
-        self.registry_poison_recoveries
-            .fetch_add(recovered, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_simd_rows(&self, sse2: u64, avx2: u64) {
-        if sse2 > 0 {
-            self.simd_rows_sse2.fetch_add(sse2, Ordering::Relaxed);
-        }
-        if avx2 > 0 {
-            self.simd_rows_avx2.fetch_add(avx2, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_schedule_compile_rejections(&self, rejections: u64) {
-        self.schedule_compile_rejections
-            .fetch_add(rejections, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_shard_tiles(&self, tiles: u64) {
-        self.shard_tiles.fetch_add(tiles, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_shard_halo_cells(&self, cells: u64) {
-        self.shard_halo_cells.fetch_add(cells, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_net_connections(&self, connections: u64) {
-        self.net_connections
-            .fetch_add(connections, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_net_frames_in(&self, frames: u64, bytes: u64) {
-        self.net_frames_in.fetch_add(frames, Ordering::Relaxed);
-        self.net_bytes_in.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_net_frames_out(&self, frames: u64, bytes: u64) {
-        self.net_frames_out.fetch_add(frames, Ordering::Relaxed);
-        self.net_bytes_out.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_net_protocol_errors(&self, errors: u64) {
-        self.net_protocol_errors
-            .fetch_add(errors, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_schedule_cache(&self, hit: bool) {
-        if hit {
-            self.schedule_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.schedule_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_schedule_evictions(&self, evicted: u64) {
-        self.schedule_cache_evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_session_registry(&self, hit: bool) {
-        if hit {
-            self.session_registry_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.session_registry_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_session_registry_evictions(&self, evicted: u64) {
-        self.session_registry_evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
     /// Takes a snapshot of the current counter values.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            spawned: self.spawned.load(Ordering::Relaxed),
-            stolen: self.stolen.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            schedule_cache_hits: self.schedule_cache_hits.load(Ordering::Relaxed),
-            schedule_cache_misses: self.schedule_cache_misses.load(Ordering::Relaxed),
-            schedule_cache_evictions: self.schedule_cache_evictions.load(Ordering::Relaxed),
-            session_registry_hits: self.session_registry_hits.load(Ordering::Relaxed),
-            session_registry_misses: self.session_registry_misses.load(Ordering::Relaxed),
-            session_registry_evictions: self.session_registry_evictions.load(Ordering::Relaxed),
-            serving_windows: self.serving_windows.load(Ordering::Relaxed),
-            serving_deadline_misses: self.serving_deadline_misses.load(Ordering::Relaxed),
-            serving_queue_depth_peak: self.serving_queue_depth_peak.load(Ordering::Relaxed),
-            serving_shed: self.serving_shed.load(Ordering::Relaxed),
-            serving_retries: self.serving_retries.load(Ordering::Relaxed),
-            serving_quarantined: self.serving_quarantined.load(Ordering::Relaxed),
-            registry_poison_recoveries: self.registry_poison_recoveries.load(Ordering::Relaxed),
-            simd_rows_sse2: self.simd_rows_sse2.load(Ordering::Relaxed),
-            simd_rows_avx2: self.simd_rows_avx2.load(Ordering::Relaxed),
-            schedule_compile_rejections: self.schedule_compile_rejections.load(Ordering::Relaxed),
-            shard_tiles: self.shard_tiles.load(Ordering::Relaxed),
-            shard_halo_cells: self.shard_halo_cells.load(Ordering::Relaxed),
-            net_connections: self.net_connections.load(Ordering::Relaxed),
-            net_frames_in: self.net_frames_in.load(Ordering::Relaxed),
-            net_frames_out: self.net_frames_out.load(Ordering::Relaxed),
-            net_bytes_in: self.net_bytes_in.load(Ordering::Relaxed),
-            net_bytes_out: self.net_bytes_out.load(Ordering::Relaxed),
-            net_protocol_errors: self.net_protocol_errors.load(Ordering::Relaxed),
+        let mut snapshot = MetricsSnapshot::default();
+        for counter in Counter::ALL {
+            *snapshot.get_mut(counter) = self.counters[counter as usize].load(Ordering::Relaxed);
         }
+        snapshot
     }
 }
 
 impl MetricsSnapshot {
-    /// Counter deltas between two snapshots (`later - self`).
+    /// Counter deltas between two snapshots (`later - self`); a
+    /// [`CounterKind::Peak`] carries the later reading.
     pub fn delta(&self, later: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            spawned: later.spawned.saturating_sub(self.spawned),
-            stolen: later.stolen.saturating_sub(self.stolen),
-            executed: later.executed.saturating_sub(self.executed),
-            schedule_cache_hits: later
-                .schedule_cache_hits
-                .saturating_sub(self.schedule_cache_hits),
-            schedule_cache_misses: later
-                .schedule_cache_misses
-                .saturating_sub(self.schedule_cache_misses),
-            schedule_cache_evictions: later
-                .schedule_cache_evictions
-                .saturating_sub(self.schedule_cache_evictions),
-            session_registry_hits: later
-                .session_registry_hits
-                .saturating_sub(self.session_registry_hits),
-            session_registry_misses: later
-                .session_registry_misses
-                .saturating_sub(self.session_registry_misses),
-            session_registry_evictions: later
-                .session_registry_evictions
-                .saturating_sub(self.session_registry_evictions),
-            serving_windows: later.serving_windows.saturating_sub(self.serving_windows),
-            serving_deadline_misses: later
-                .serving_deadline_misses
-                .saturating_sub(self.serving_deadline_misses),
-            // A high-water mark, not a counter: the delta carries the later value.
-            serving_queue_depth_peak: later.serving_queue_depth_peak,
-            serving_shed: later.serving_shed.saturating_sub(self.serving_shed),
-            serving_retries: later.serving_retries.saturating_sub(self.serving_retries),
-            serving_quarantined: later
-                .serving_quarantined
-                .saturating_sub(self.serving_quarantined),
-            registry_poison_recoveries: later
-                .registry_poison_recoveries
-                .saturating_sub(self.registry_poison_recoveries),
-            simd_rows_sse2: later.simd_rows_sse2.saturating_sub(self.simd_rows_sse2),
-            simd_rows_avx2: later.simd_rows_avx2.saturating_sub(self.simd_rows_avx2),
-            schedule_compile_rejections: later
-                .schedule_compile_rejections
-                .saturating_sub(self.schedule_compile_rejections),
-            shard_tiles: later.shard_tiles.saturating_sub(self.shard_tiles),
-            shard_halo_cells: later.shard_halo_cells.saturating_sub(self.shard_halo_cells),
-            net_connections: later.net_connections.saturating_sub(self.net_connections),
-            net_frames_in: later.net_frames_in.saturating_sub(self.net_frames_in),
-            net_frames_out: later.net_frames_out.saturating_sub(self.net_frames_out),
-            net_bytes_in: later.net_bytes_in.saturating_sub(self.net_bytes_in),
-            net_bytes_out: later.net_bytes_out.saturating_sub(self.net_bytes_out),
-            net_protocol_errors: later
-                .net_protocol_errors
-                .saturating_sub(self.net_protocol_errors),
+        let mut delta = MetricsSnapshot::default();
+        for counter in Counter::ALL {
+            *delta.get_mut(counter) = match counter.kind() {
+                CounterKind::Sum => later.get(counter).saturating_sub(self.get(counter)),
+                CounterKind::Peak => later.get(counter),
+            };
         }
+        delta
     }
+}
+
+counters! {
+    /// Jobs pushed onto any deque or the injector.
+    Spawned => spawned: Sum,
+    /// Jobs obtained by stealing (from a peer deque or the injector).
+    Stolen => stolen: Sum,
+    /// Jobs executed to completion.
+    Executed => executed: Sum,
+    /// Session-registry lookups served by an already-compiled `CompiledProgram`.
+    SessionRegistryHits => session_registry_hits: Sum,
+    /// Session-registry lookups that had to compile a fresh `CompiledProgram`.
+    SessionRegistryMisses => session_registry_misses: Sum,
+    /// Session-registry entries evicted (LRU) by lookups reported to this runtime.
+    SessionRegistryEvictions => session_registry_evictions: Sum,
+    /// Per-window work items executed by pipelined serving drains.
+    ServingWindows => serving_windows: Sum,
+    /// Submissions whose final window was dispatched after its logical deadline.
+    ServingDeadlineMisses => serving_deadline_misses: Sum,
+    /// High-water mark of the serving ready queue (a gauge, not a counter:
+    /// [`MetricsSnapshot::delta`] reports the later snapshot's value).
+    ServingQueueDepthPeak => serving_queue_depth_peak: Peak,
+    /// Requests rejected by serving admission control — at submit time (quota or
+    /// watermark exceeded) or at dispatch time (logical deadline already unmeetable).
+    ServingShed => serving_shed: Sum,
+    /// Session-compilation retry attempts performed by the serving layer's bounded
+    /// retry-with-backoff policy after a `CompileFailed` lookup.
+    ServingRetries => serving_retries: Sum,
+    /// Session keys quarantined in the serving registry after a tenant panic
+    /// (evicted, or additionally banned for a number of lookups).
+    ServingQuarantined => serving_quarantined: Sum,
+    /// Poisoned shared-state locks (registry, session pin sets, schedule cache)
+    /// recovered instead of propagating the poison panic.
+    RegistryPoisonRecoveries => registry_poison_recoveries: Sum,
+    /// Window runs whose geometry failed `should_compile` and were demoted off the
+    /// compiled-arena path (onto sharded tiles or the recursive reference walker).
+    ScheduleCompileRejections => schedule_compile_rejections: Sum,
+    /// Tile executions launched by sharded giant-grid runs (one count per tile per
+    /// window phase).
+    ShardTiles => shard_tiles: Sum,
+    /// Grid cells copied by shard halo-exchange syncs between tile neighbours
+    /// (seam strips only; the one-time scatter/gather is not counted).
+    ShardHaloCells => shard_halo_cells: Sum,
+    /// TCP connections accepted by a network stencil service in this process.
+    NetConnections => net_connections: Sum,
+    /// Protocol frames decoded off client connections.
+    NetFramesIn => net_frames_in: Sum,
+    /// Protocol frames written back to clients.
+    NetFramesOut => net_frames_out: Sum,
+    /// Wire bytes read off client connections (length prefixes included).
+    NetBytesIn => net_bytes_in: Sum,
+    /// Wire bytes written back to clients (length prefixes included).
+    NetBytesOut => net_bytes_out: Sum,
+    /// Frames rejected as malformed (truncated, oversized, unknown opcode,
+    /// version mismatch, or a server-to-client opcode sent by a client).
+    NetProtocolErrors => net_protocol_errors: Sum,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every row of the table: noted values accumulate by kind, deltas subtract
+    /// totals and carry peaks, and each name is unique and labels the field `get`
+    /// reads.
     #[test]
-    fn metrics_accumulate() {
+    fn every_counter_accumulates_and_deltas_by_kind() {
         let m = Metrics::new();
-        m.note_spawn();
-        m.note_spawn();
-        m.note_steal();
-        m.note_execute_on(0);
-        let s = m.snapshot();
-        assert_eq!(s.spawned, 2);
-        assert_eq!(s.stolen, 1);
-        assert_eq!(s.executed, 1);
-    }
+        for (i, &counter) in Counter::ALL.iter().enumerate() {
+            // Distinct per counter, so reading the wrong field cannot pass.
+            let v = 100 * (i as u64 + 1);
+            m.note(counter, v);
+            m.note(counter, 3);
+            let expected = match counter.kind() {
+                CounterKind::Sum => v + 3,
+                CounterKind::Peak => v,
+            };
+            assert_eq!(m.snapshot().get(counter), expected, "{}", counter.name());
+        }
+        let before = m.snapshot();
+        for counter in Counter::ALL {
+            m.note(counter, 2);
+        }
+        let after = m.snapshot();
+        let delta = before.delta(&after);
+        for counter in Counter::ALL {
+            let expected = match counter.kind() {
+                CounterKind::Sum => 2,
+                CounterKind::Peak => after.get(counter),
+            };
+            assert_eq!(delta.get(counter), expected, "{}", counter.name());
+        }
 
-    #[test]
-    fn session_registry_counters() {
-        let m = Metrics::new();
-        m.note_session_registry(false);
-        m.note_session_registry(true);
-        m.note_session_registry(true);
-        m.note_session_registry_evictions(2);
-        let s = m.snapshot();
-        assert_eq!(s.session_registry_hits, 2);
-        assert_eq!(s.session_registry_misses, 1);
-        assert_eq!(s.session_registry_evictions, 2);
-    }
-
-    #[test]
-    fn schedule_cache_counters() {
-        let m = Metrics::new();
-        m.note_schedule_cache(false);
-        m.note_schedule_cache(true);
-        m.note_schedule_cache(true);
-        m.note_schedule_evictions(3);
-        let s = m.snapshot();
-        assert_eq!(s.schedule_cache_hits, 2);
-        assert_eq!(s.schedule_cache_misses, 1);
-        assert_eq!(s.schedule_cache_evictions, 3);
-    }
-
-    #[test]
-    fn serving_counters_and_queue_peak() {
-        let m = Metrics::new();
-        m.note_serving_windows(5);
-        m.note_serving_windows(2);
-        m.note_serving_deadline_misses(1);
-        m.note_serving_queue_depth(4);
-        m.note_serving_queue_depth(9);
-        m.note_serving_queue_depth(3); // peak keeps the maximum
-        let s = m.snapshot();
-        assert_eq!(s.serving_windows, 7);
-        assert_eq!(s.serving_deadline_misses, 1);
-        assert_eq!(s.serving_queue_depth_peak, 9);
-        let later = m.snapshot();
-        assert_eq!(s.delta(&later).serving_queue_depth_peak, 9);
-    }
-
-    #[test]
-    fn fault_isolation_counters() {
-        let m = Metrics::new();
-        m.note_serving_shed(3);
-        m.note_serving_retries(2);
-        m.note_serving_quarantined(1);
-        m.note_registry_poison_recoveries(4);
-        let s = m.snapshot();
-        assert_eq!(s.serving_shed, 3);
-        assert_eq!(s.serving_retries, 2);
-        assert_eq!(s.serving_quarantined, 1);
-        assert_eq!(s.registry_poison_recoveries, 4);
-        m.note_serving_shed(1);
-        let d = s.delta(&m.snapshot());
-        assert_eq!(d.serving_shed, 1);
-        assert_eq!(d.serving_retries, 0);
-    }
-
-    #[test]
-    fn simd_row_counters() {
-        let m = Metrics::new();
-        m.note_simd_rows(10, 0);
-        m.note_simd_rows(0, 7);
-        m.note_simd_rows(2, 3);
-        let s = m.snapshot();
-        assert_eq!(s.simd_rows_sse2, 12);
-        assert_eq!(s.simd_rows_avx2, 10);
-        m.note_simd_rows(1, 1);
-        let d = s.delta(&m.snapshot());
-        assert_eq!(d.simd_rows_sse2, 1);
-        assert_eq!(d.simd_rows_avx2, 1);
-    }
-
-    #[test]
-    fn shard_counters() {
-        let m = Metrics::new();
-        m.note_schedule_compile_rejections(1);
-        m.note_shard_tiles(8);
-        m.note_shard_halo_cells(1024);
-        let s = m.snapshot();
-        assert_eq!(s.schedule_compile_rejections, 1);
-        assert_eq!(s.shard_tiles, 8);
-        assert_eq!(s.shard_halo_cells, 1024);
-        m.note_shard_tiles(2);
-        let d = s.delta(&m.snapshot());
-        assert_eq!(d.shard_tiles, 2);
-        assert_eq!(d.shard_halo_cells, 0);
-    }
-
-    #[test]
-    fn net_counters() {
-        let m = Metrics::new();
-        m.note_net_connections(2);
-        m.note_net_frames_in(1, 64);
-        m.note_net_frames_in(1, 16);
-        m.note_net_frames_out(3, 300);
-        m.note_net_protocol_errors(1);
-        let s = m.snapshot();
-        assert_eq!(s.net_connections, 2);
-        assert_eq!(s.net_frames_in, 2);
-        assert_eq!(s.net_bytes_in, 80);
-        assert_eq!(s.net_frames_out, 3);
-        assert_eq!(s.net_bytes_out, 300);
-        assert_eq!(s.net_protocol_errors, 1);
-        m.note_net_frames_in(1, 8);
-        let d = s.delta(&m.snapshot());
-        assert_eq!(d.net_frames_in, 1);
-        assert_eq!(d.net_bytes_in, 8);
-        assert_eq!(d.net_connections, 0);
+        // The derived Debug lists `field: value` pairs in declaration order.
+        let debug = format!("{after:?}");
+        let fields: Vec<(&str, u64)> = debug
+            .trim_start_matches("MetricsSnapshot { ")
+            .trim_end_matches(" }")
+            .split(", ")
+            .map(|pair| {
+                let (name, value) = pair.split_once(": ").expect("field: value");
+                (name, value.parse().expect("u64 field"))
+            })
+            .collect();
+        assert_eq!(fields.len(), Counter::COUNT);
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(fields[i], (counter.name(), after.get(counter)));
+            assert!(
+                Counter::ALL[..i].iter().all(|c| c.name() != counter.name()),
+                "duplicate name {}",
+                counter.name()
+            );
+        }
     }
 
     #[test]
@@ -507,19 +283,5 @@ mod tests {
         m.note_execute_on(99); // out-of-range index only hits the aggregate
         assert_eq!(m.worker_executed(), vec![1, 0, 2]);
         assert_eq!(m.snapshot().executed, 4);
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let m = Metrics::new();
-        m.note_spawn();
-        let a = m.snapshot();
-        m.note_spawn();
-        m.note_execute_on(0);
-        let b = m.snapshot();
-        let d = a.delta(&b);
-        assert_eq!(d.spawned, 1);
-        assert_eq!(d.executed, 1);
-        assert_eq!(d.stolen, 0);
     }
 }

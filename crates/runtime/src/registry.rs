@@ -7,7 +7,7 @@
 
 use crate::job::JobRef;
 use crate::latch::{Latch, LockLatch};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
@@ -78,7 +78,7 @@ impl WorkerThread {
     #[inline]
     pub fn push(&self, job: JobRef) {
         self.worker.push(job);
-        self.registry.metrics.note_spawn();
+        self.registry.metrics.note(Counter::Spawned, 1);
         self.registry.wake_workers();
     }
 
@@ -107,7 +107,7 @@ impl WorkerThread {
         loop {
             match registry.injector.steal_batch_and_pop(&self.worker) {
                 Steal::Success(job) => {
-                    registry.metrics.note_steal();
+                    registry.metrics.note(Counter::Stolen, 1);
                     return Some(job);
                 }
                 Steal::Retry => continue,
@@ -123,7 +123,7 @@ impl WorkerThread {
             loop {
                 match registry.stealers[victim].steal() {
                     Steal::Success(job) => {
-                        registry.metrics.note_steal();
+                        registry.metrics.note(Counter::Stolen, 1);
                         return Some(job);
                     }
                     Steal::Retry => continue,
@@ -254,7 +254,7 @@ impl Registry {
     /// Pushes an externally created job into the pool.
     pub fn inject(&self, job: JobRef) {
         self.injector.push(job);
-        self.metrics.note_spawn();
+        self.metrics.note(Counter::Spawned, 1);
         self.wake_workers();
     }
 
