@@ -8,8 +8,11 @@
 //! * deterministic outcomes: record/accept/shed counts, distinct sessions, the
 //!   points delivered, and the bitwise live-vs-sequential digest flag — the
 //!   network layer must be invisible to the numerics;
-//! * advisory wall-clock throughput for the live path (machine- and
-//!   network-dependent, never gated).
+//! * wall-clock throughput for the live path and for the in-process
+//!   sequential replay of the same trace (advisory: machine-dependent), and
+//!   their ratio `live_over_inprocess`.  The ratio cancels the host's speed,
+//!   so `bench_check` gates it strictly against a floor: a wire path that
+//!   falls back onto a TCP timer floor (~700× slower) fails CI.
 //!
 //! Every non-timing field is deterministic for an unquota'd server at
 //! `POCHOIR_NUM_THREADS=1`; the CI gate (`bench_check`) compares those fields
@@ -79,26 +82,40 @@ fn main() {
     let elapsed = started.elapsed().as_secs_f64();
 
     // In-process ground truth: the same records, one at a time, no queue.
+    let started = Instant::now();
     let sequential = replay(&trace, Discipline::Sequential, &ReplayOptions::default());
+    let inprocess_elapsed = started.elapsed().as_secs_f64();
 
     let accepted = live.iter().filter(|d| d.is_some()).count();
     let shed = live.len() - accepted;
-    // Points actually delivered over the wire: cells × steps per accepted record.
-    let points: u64 = trace
-        .records
-        .iter()
-        .zip(&live)
-        .filter(|(_, d)| d.is_some())
-        .map(|(r, _)| r.geometry.iter().product::<u64>() * r.window.max(0) as u64)
-        .sum();
+    // Points actually delivered: cells × steps per completed record.
+    let delivered = |digests: &[Option<u64>]| -> u64 {
+        trace
+            .records
+            .iter()
+            .zip(digests)
+            .filter(|(_, d)| d.is_some())
+            .map(|(r, _)| r.geometry.iter().product::<u64>() * r.window.max(0) as u64)
+            .sum()
+    };
+    let points = delivered(&live);
     // The wire must be invisible: every digest the live server produced equals
     // the in-process sequential result for the same record.
     let bitwise = live.iter().zip(&sequential.digests).all(|(l, s)| match l {
         Some(d) => Some(*d) == *s,
         None => true,
     });
-    let mpts = if elapsed > 0.0 {
-        points as f64 / elapsed / 1e6
+    let rate = |points: u64, elapsed: f64| {
+        if elapsed > 0.0 {
+            points as f64 / elapsed / 1e6
+        } else {
+            0.0
+        }
+    };
+    let mpts = rate(points, elapsed);
+    let inprocess_mpts = rate(delivered(&sequential.digests), inprocess_elapsed);
+    let ratio = if inprocess_mpts > 0.0 {
+        mpts / inprocess_mpts
     } else {
         0.0
     };
@@ -118,6 +135,10 @@ fn main() {
     json.push_str(&format!("  \"shed\": {shed},\n"));
     json.push_str(&format!("  \"points\": {points},\n"));
     json.push_str(&format!("  \"live_mpoints_per_s\": {mpts:.3},\n"));
+    json.push_str(&format!(
+        "  \"inprocess_mpoints_per_s\": {inprocess_mpts:.3},\n"
+    ));
+    json.push_str(&format!("  \"live_over_inprocess\": {ratio:.3},\n"));
     json.push_str(&format!("  \"bitwise_live_vs_sequential\": {bitwise}\n"));
     json.push_str("}\n");
 

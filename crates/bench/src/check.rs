@@ -13,6 +13,11 @@
 //! * **environment** — worker counts, detected ISA, autotune profile choices,
 //!   queue-depth gauges.  Skipped entirely.
 //!
+//! On top of that, a report may carry **floors**: self-normalised ratios (two
+//! rates measured in the same run on the same host) that must reach a fixed
+//! minimum in the fresh report.  A ratio cancels the host's speed, so it can
+//! be gated strictly where the raw rate cannot; a miss **fails** the check.
+//!
 //! Classification is by substring over the dot-joined leaf path (lowercased), so
 //! the same rule set covers every report shape; [`rules_for`] adds per-file
 //! extras (e.g. the SIMD report's dispatched-kernel names follow the host ISA).
@@ -34,7 +39,17 @@ pub struct CheckRules {
     pub advisory: Vec<&'static str>,
     /// Relative tolerance for advisory numeric fields.
     pub tolerance: f64,
+    /// `(substring, minimum)`: a fresh leaf whose path contains the substring
+    /// must be a number of at least `minimum`, whatever its class.
+    pub floors: Vec<(&'static str, f64)>,
 }
+
+/// Floor on `BENCH_serve.json`'s `live_over_inprocess` (live wire replay over
+/// in-process sequential replay of the same trace, one worker).  Seven runs
+/// against a freshly started server read 0.47–0.75 on a 2-core Xeon (median
+/// 0.62), so the floor sits at under half of that; the Nagle/delayed-ACK
+/// floor it guards against reads ~0.0007.
+pub const SERVE_LIVE_OVER_INPROCESS_FLOOR: f64 = 0.25;
 
 /// Fields that are environment-dependent in every report.
 const SKIP_ALWAYS: &[&str] = &[
@@ -72,6 +87,7 @@ const ADVISORY_ALWAYS: &[&str] = &[
 pub fn rules_for(file_name: &str) -> CheckRules {
     let mut skip: Vec<&'static str> = SKIP_ALWAYS.to_vec();
     let advisory: Vec<&'static str> = ADVISORY_ALWAYS.to_vec();
+    let mut floors = Vec::new();
     match file_name {
         // The dispatched kernel name follows the host ISA (the leading dot keeps
         // the pattern anchored to the key, not to e.g. a "simd_*" counter).
@@ -82,12 +98,14 @@ pub fn rules_for(file_name: &str) -> CheckRules {
             skip.push("tiles");
             skip.push("halo");
         }
+        "BENCH_serve.json" => floors.push(("live_over_inprocess", SERVE_LIVE_OVER_INPROCESS_FLOOR)),
         _ => {}
     }
     CheckRules {
         skip,
         advisory,
         tolerance: DEFAULT_TOLERANCE,
+        floors,
     }
 }
 
@@ -145,6 +163,15 @@ fn leaf_repr(v: &Json) -> String {
 }
 
 fn walk(path: &str, baseline: &Json, fresh: &Json, rules: &CheckRules, out: &mut CheckReport) {
+    let lower = path.to_ascii_lowercase();
+    if let Some(&(_, floor)) = rules.floors.iter().find(|(p, _)| lower.contains(p)) {
+        if !as_number(fresh).is_some_and(|f| f >= floor) {
+            out.failures.push(format!(
+                "{path}: {} is below the floor {floor}",
+                leaf_repr(fresh)
+            ));
+        }
+    }
     match classify(path, rules) {
         Class::Skip => {
             out.skipped += 1;
@@ -316,6 +343,21 @@ mod tests {
         let f = j(r#"{"tiles":8,"halo_cells":2400,"halo_overhead_fraction":0.02,"windows":3}"#);
         let report = compare(&b, &f, &rules);
         assert!(report.passed(), "{:?}", report.failures);
+    }
+
+    #[test]
+    fn serve_ratio_below_its_floor_fails() {
+        let rules = rules_for("BENCH_serve.json");
+        let b = j(r#"{"live_mpoints_per_s":48.0,"live_over_inprocess":0.5}"#);
+        let ok = j(r#"{"live_mpoints_per_s":20.0,"live_over_inprocess":0.3}"#);
+        let report = compare(&b, &ok, &rules);
+        assert!(report.passed(), "{:?}", report.failures);
+        let cliff = j(r#"{"live_mpoints_per_s":0.07,"live_over_inprocess":0.0006}"#);
+        let report = compare(&b, &cliff, &rules);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("live_over_inprocess"));
+        // Only the serve report carries the floor.
+        assert!(compare(&b, &cliff, &default_rules()).passed());
     }
 
     #[test]

@@ -1,25 +1,23 @@
 //! A small blocking client for the `pochoir-serve` wire protocol, plus the
 //! trace-driven load generator used by the e2e tests and the bench smoke step.
 //!
-//! The client is deliberately dumb: one [`TcpStream`], strictly
-//! request/response (every frame it sends is answered by exactly one frame),
-//! no internal threads.  Anything fancier — concurrency, retries, timeouts —
-//! is the caller's business, which keeps the tests honest about what crossed
-//! the wire.
+//! The client is deliberately dumb: one [`TcpStream`] (with `TCP_NODELAY`,
+//! replies read through a [`BufReader`]), strictly request/response (every
+//! frame it sends is answered by exactly one frame), no internal threads.
+//! Anything fancier — concurrency, retries, timeouts — is the caller's
+//! business, which keeps the tests honest about what crossed the wire.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use pochoir_core::grid::PochoirArray;
-use pochoir_stencils::traffic::{
-    digest_values, heat_grid, life_grid, usizes, wave_grid, DigestBits,
-};
+use pochoir_stencils::traffic::{digest_iter, heat_grid, life_grid, usizes, wave_grid};
 use pochoir_trace::{Trace, TraceApp};
 
 use crate::protocol::{
-    grid_to_bytes, read_frame, write_frame, Deadline, ElemType, ErrorCode, Frame, FrameError,
-    ReadError, RequestStatus, WireElem, PROTOCOL_VERSION,
+    read_frame, submit_wire, write_frame, write_wire, Deadline, ElemType, ErrorCode, Frame,
+    FrameError, ReadError, RequestStatus, WireElem, PROTOCOL_VERSION,
 };
 
 /// Client-side failures, separating transport problems from typed server
@@ -108,31 +106,27 @@ impl FetchedResult {
     /// the server drained.
     pub fn digest(&self) -> u64 {
         match self.elem {
-            ElemType::F64 => digest_values(&decode_slices::<f64>(self)),
-            ElemType::U8 => digest_values(&decode_slices::<u8>(self)),
+            ElemType::F64 => digest_iter(self.bytes.chunks_exact(8).map(f64::take)),
+            ElemType::U8 => digest_iter(self.bytes.iter().copied()),
         }
     }
 }
 
-fn decode_slices<T: WireElem + DigestBits>(r: &FetchedResult) -> Vec<Vec<T>> {
-    let elem = T::ELEM.size();
-    let per_slice = r.slice_len as usize * elem;
-    r.bytes
-        .chunks(per_slice.max(1))
-        .map(|chunk| chunk.chunks(elem).map(T::take).collect())
-        .collect()
-}
-
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through the buffer; requests go straight to the
+    /// socket underneath, one `write` per frame.
+    conn: BufReader<TcpStream>,
 }
 
 impl Client {
     /// Connects and completes the `Hello`/`HelloAck` version handshake.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        let mut client = Client { stream };
+        stream.set_nodelay(true)?;
+        let mut client = Client {
+            conn: BufReader::new(stream),
+        };
         match client.roundtrip(&Frame::Hello {
             version: PROTOCOL_VERSION,
         })? {
@@ -193,7 +187,7 @@ impl Client {
         weight: u32,
         deadline: Deadline,
     ) -> Result<u64, ClientError> {
-        let frame = Frame::Submit {
+        let head = Frame::Submit {
             session: session.id,
             tenant,
             t0,
@@ -201,9 +195,10 @@ impl Client {
             weight,
             deadline,
             elem: T::ELEM,
-            grid: grid_to_bytes(grid),
+            grid: Vec::new(),
         };
-        match self.roundtrip(&frame)? {
+        // The grid is serialized straight into the wire buffer.
+        match self.exchange(&submit_wire(&head, grid))? {
             Frame::Submitted { request } => Ok(request),
             other => Err(unexpected("Submitted", &other)),
         }
@@ -248,16 +243,16 @@ impl Client {
         }
     }
 
-    /// Polls until the request leaves `Pending` or `timeout` elapses.
+    /// Blocks until the request leaves `Pending` or `timeout` elapses: one
+    /// `Wait` frame, which the server answers when the request completes.
     pub fn wait(&mut self, request: u64, timeout: Duration) -> Result<RequestStatus, ClientError> {
-        let started = Instant::now();
-        loop {
-            match self.poll(request)? {
-                RequestStatus::Pending if started.elapsed() < timeout => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                status => return Ok(status),
-            }
+        let timeout_ms = u64::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX);
+        match self.roundtrip(&Frame::Wait {
+            request,
+            timeout_ms,
+        })? {
+            Frame::Status { status } => Ok(status),
+            other => Err(unexpected("Status", &other)),
         }
     }
 
@@ -304,15 +299,25 @@ impl Client {
         }
     }
 
+    /// Whether `TCP_NODELAY` is set on the connection's socket.
+    pub fn nodelay(&self) -> io::Result<bool> {
+        self.conn.get_ref().nodelay()
+    }
+
     /// Polite goodbye (half of the pair; dropping the stream works too).
     pub fn close(mut self) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &Frame::Close)?;
+        write_frame(self.conn.get_mut(), &Frame::Close)?;
         Ok(())
     }
 
     fn roundtrip(&mut self, frame: &Frame) -> Result<Frame, ClientError> {
-        write_frame(&mut self.stream, frame)?;
-        let (reply, _) = read_frame(&mut self.stream)?;
+        self.exchange(&frame.to_wire())
+    }
+
+    /// Sends one frame's wire bytes and reads the reply.
+    fn exchange(&mut self, wire: &[u8]) -> Result<Frame, ClientError> {
+        write_wire(self.conn.get_mut(), wire)?;
+        let (reply, _) = read_frame(&mut self.conn)?;
         if let Frame::Error { code, detail } = reply {
             return Err(ClientError::Server { code, detail });
         }
@@ -326,7 +331,7 @@ fn unexpected(wanted: &str, got: &Frame) -> ClientError {
 
 /// Replays a trace against a live server over one connection: negotiates each
 /// distinct `(app, geometry)`, submits every record's deterministic tenant
-/// grid in arrival order, then polls and fetches all results.
+/// grid in arrival order, then waits for and fetches all results.
 ///
 /// Returns one entry per record, in trace order: `Some(digest)` for completed
 /// requests, `None` for records the server shed or failed (admission control

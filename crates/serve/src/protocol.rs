@@ -2,7 +2,10 @@
 //!
 //! Every frame on the wire is a little-endian `u32` **body length** followed by
 //! the body; the body is a one-byte opcode followed by an opcode-specific
-//! payload.  All integers are little-endian; strings are a `u32` length plus
+//! payload.  [`write_frame`] sends prefix and body with one `write_all` (the
+//! prefix is reserved at the front of the encode buffer and patched in), and
+//! both ends set `TCP_NODELAY`, so a small frame leaves at once instead of
+//! waiting out Nagle's algorithm against the peer's delayed ACK.  All integers are little-endian; strings are a `u32` length plus
 //! UTF-8 bytes; grids travel as densely packed row-major time slices (exactly
 //! [`PochoirArray::snapshot`](pochoir_core::grid::PochoirArray::snapshot)
 //! order), one per time slice of the session's app, so a grid rebuilt from the
@@ -14,17 +17,20 @@
 //! inside a 20-byte body is rejected without allocating 4 GiB), and frames
 //! larger than [`MAX_FRAME`] are refused at the length prefix, before the body
 //! is read.  `decode ∘ encode = id` is pinned by a property test over arbitrary
-//! frames (`tests/protocol_properties.rs`).
+//! frames (`tests/protocol_properties.rs`).  [`read_frame`] reads the bulk
+//! byte string of a `Submit` or `Result` frame straight into the `Vec` the
+//! decoded frame keeps, so a multi-MiB grid is not copied out of the body.
 //!
 //! See `docs/protocol.md` for the full frame catalogue and the session/request
 //! state machine.
 
 use std::io::{self, Read, Write};
 
+use pochoir_core::grid::PochoirArray;
 use pochoir_trace::TraceApp;
 
 /// Protocol version spoken by this crate; negotiated by `Hello`/`HelloAck`.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Largest legal frame body in bytes (64 MiB) — enough for every grid the
 /// serve presets compile (the giant 1D corpus grid is ~9.6 MiB of slices),
@@ -148,7 +154,7 @@ impl Deadline {
 /// Where a polled request currently stands.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RequestStatus {
-    /// Queued or draining; poll again.
+    /// Queued or draining; poll or wait again.
     Pending,
     /// Finished; `Fetch` will return the result (and consume it).
     Done,
@@ -292,6 +298,15 @@ pub enum Frame {
         /// The request id from [`Frame::Submitted`].
         request: u64,
     },
+    /// Block until a request leaves `Pending`; answered by [`Frame::Status`]
+    /// as soon as it finishes or fails, or with `Pending` once `timeout_ms`
+    /// has passed.
+    Wait {
+        /// The request id from [`Frame::Submitted`].
+        request: u64,
+        /// How long the server may hold the answer back, in milliseconds.
+        timeout_ms: u64,
+    },
     /// Fetch (and consume) a finished request's result; answered by
     /// [`Frame::Result`], `NotReady`, or the request's typed failure.
     Fetch {
@@ -318,10 +333,10 @@ pub enum Frame {
     },
     /// A submission was admitted and queued.
     Submitted {
-        /// The request id to poll/fetch.
+        /// The request id to poll, wait on, and fetch.
         request: u64,
     },
-    /// Answer to [`Frame::Poll`].
+    /// Answer to [`Frame::Poll`] and [`Frame::Wait`].
     Status {
         /// Where the request stands.
         status: RequestStatus,
@@ -360,6 +375,7 @@ const OP_POLL: u8 = 0x04;
 const OP_FETCH: u8 = 0x05;
 const OP_CLOSE: u8 = 0x06;
 const OP_FLUSH: u8 = 0x07;
+const OP_WAIT: u8 = 0x08;
 const OP_HELLO_ACK: u8 = 0x81;
 const OP_SESSION_ACK: u8 = 0x82;
 const OP_SUBMITTED: u8 = 0x83;
@@ -430,9 +446,19 @@ impl FrameError {
     }
 }
 
+/// Body bytes of a `Submit` frame before its grid: opcode, session, tenant,
+/// t0, t1, weight, deadline (kind + value), elem, and the grid's length.
+const SUBMIT_HEAD: usize = 1 + 4 + 4 + 8 + 8 + 4 + 9 + 1 + 4;
+/// Body bytes of a `Result` frame before its payload: opcode, elem, t1,
+/// slice_len, and the payload's length.
+const RESULT_HEAD: usize = 1 + 1 + 8 + 8 + 4;
+
 /// Bounds-checked little-endian reader over a frame body.
 struct Reader<'a> {
     rest: &'a [u8],
+    /// The frame's bulk byte string when [`read_frame`] read it off the stream
+    /// into a buffer of its own; `None` when the whole body is in `rest`.
+    tail: Option<Vec<u8>>,
 }
 
 impl<'a> Reader<'a> {
@@ -466,14 +492,40 @@ impl<'a> Reader<'a> {
 
     /// A `u32`-prefixed byte string; the length is validated against the bytes
     /// actually present before any allocation.
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
+    fn bytes(&mut self) -> Result<&'a [u8], FrameError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    /// The frame's last, bulk byte string (a `Submit` grid or a `Result`
+    /// payload).  A split-off tail is handed out as it is; otherwise the bytes
+    /// are copied out of the body.  Either way the declared length must match
+    /// the bytes present exactly, with the same errors.
+    fn bulk(&mut self) -> Result<Vec<u8>, FrameError> {
+        let Some(tail) = self.tail.take() else {
+            return Ok(self.bytes()?.to_vec());
+        };
+        let len = self.u32()? as usize;
+        debug_assert!(self.rest.is_empty(), "the head ends at the bulk bytes");
+        if tail.len() < len {
+            return Err(FrameError::Truncated {
+                needed: len,
+                have: tail.len(),
+            });
+        }
+        if tail.len() > len {
+            return Err(FrameError::TrailingBytes {
+                extra: tail.len() - len,
+            });
+        }
+        Ok(tail)
     }
 
     fn string(&mut self) -> Result<String, FrameError> {
         let raw = self.bytes()?;
-        String::from_utf8(raw).map_err(|_| FrameError::BadPayload("invalid UTF-8".into()))
+        std::str::from_utf8(raw)
+            .map(str::to_owned)
+            .map_err(|_| FrameError::BadPayload("invalid UTF-8".into()))
     }
 }
 
@@ -504,7 +556,45 @@ fn app_from_tag(tag: u8) -> Result<TraceApp, FrameError> {
 impl Frame {
     /// Encodes the frame body (opcode + payload, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        self.encode_after(0, 0)
+    }
+
+    /// The frame as it goes on the wire: length prefix and body in one
+    /// buffer, ready for a single `write_all`.
+    pub fn to_wire(&self) -> Vec<u8> {
+        let mut buf = self.encode_after(4, 0);
+        patch_prefix(&mut buf);
+        buf
+    }
+
+    /// [`to_wire`](Frame::to_wire) for a `Submit` or `Result` frame whose
+    /// bulk bytes are left empty in `self`: `put` appends `bulk_len` bytes in
+    /// their place, straight into the wire buffer, so a grid serialized this
+    /// way is copied once.
+    fn to_wire_with(&self, bulk_len: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = self.encode_after(4, bulk_len);
+        // The empty bulk field's `u32` length ends the encoded head.
+        let at = buf.len() - 4;
+        buf[at..].copy_from_slice(&(bulk_len as u32).to_le_bytes());
+        put(&mut buf);
+        debug_assert_eq!(buf.len(), at + 4 + bulk_len, "bulk bytes as announced");
+        patch_prefix(&mut buf);
+        buf
+    }
+
+    /// Encodes the body behind `reserve` zero bytes (where [`to_wire`]
+    /// patches in the length prefix), with room for `extra` more bytes, so
+    /// the bulk bytes are copied once.
+    ///
+    /// [`to_wire`]: Frame::to_wire
+    fn encode_after(&self, reserve: usize, extra: usize) -> Vec<u8> {
+        let bulk = match self {
+            Frame::Submit { grid, .. } => grid.len(),
+            Frame::Result { payload, .. } => payload.len(),
+            _ => 0,
+        };
+        let mut out = Vec::with_capacity(reserve + SUBMIT_HEAD + bulk + extra);
+        out.resize(reserve, 0);
         match self {
             Frame::Hello { version } => {
                 out.push(OP_HELLO);
@@ -546,6 +636,14 @@ impl Frame {
             Frame::Poll { request } => {
                 out.push(OP_POLL);
                 out.extend_from_slice(&request.to_le_bytes());
+            }
+            Frame::Wait {
+                request,
+                timeout_ms,
+            } => {
+                out.push(OP_WAIT);
+                out.extend_from_slice(&request.to_le_bytes());
+                out.extend_from_slice(&timeout_ms.to_le_bytes());
             }
             Frame::Fetch { request } => {
                 out.push(OP_FETCH);
@@ -607,10 +705,18 @@ impl Frame {
     /// panics; every failure is a structured [`FrameError`], and the body must
     /// be consumed exactly (no trailing bytes).
     pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
-        if body.len() > MAX_FRAME {
-            return Err(FrameError::Oversized { len: body.len() });
+        Frame::decode_parts(body, None)
+    }
+
+    /// Decodes a body that arrived as `head` followed by the bulk bytes in
+    /// `tail` (see [`read_frame`]), or entirely in `head` when `tail` is
+    /// `None`.  Both spellings of a body decode to the same frame or error.
+    fn decode_parts(head: &[u8], tail: Option<Vec<u8>>) -> Result<Frame, FrameError> {
+        let len = head.len() + tail.as_ref().map_or(0, Vec::len);
+        if len > MAX_FRAME {
+            return Err(FrameError::Oversized { len });
         }
-        let mut r = Reader { rest: body };
+        let mut r = Reader { rest: head, tail };
         let op = r.u8()?;
         let frame = match op {
             OP_HELLO => Frame::Hello { version: r.u32()? },
@@ -642,9 +748,13 @@ impl Frame {
                 weight: r.u32()?,
                 deadline: Deadline::decode(&mut r)?,
                 elem: ElemType::from_u8(r.u8()?)?,
-                grid: r.bytes()?,
+                grid: r.bulk()?,
             },
             OP_POLL => Frame::Poll { request: r.u64()? },
+            OP_WAIT => Frame::Wait {
+                request: r.u64()?,
+                timeout_ms: r.u64()?,
+            },
             OP_FETCH => Frame::Fetch { request: r.u64()? },
             OP_CLOSE => Frame::Close,
             OP_FLUSH => Frame::Flush,
@@ -674,7 +784,7 @@ impl Frame {
                 elem: ElemType::from_u8(r.u8()?)?,
                 t1: r.i64()?,
                 slice_len: r.u64()?,
-                payload: r.bytes()?,
+                payload: r.bulk()?,
             },
             OP_FLUSHED => Frame::Flushed { records: r.u64()? },
             OP_ERROR => Frame::Error {
@@ -683,10 +793,9 @@ impl Frame {
             },
             other => return Err(FrameError::UnknownOpcode(other)),
         };
-        if !r.rest.is_empty() {
-            return Err(FrameError::TrailingBytes {
-                extra: r.rest.len(),
-            });
+        let extra = r.rest.len() + r.tail.map_or(0, |t| t.len());
+        if extra > 0 {
+            return Err(FrameError::TrailingBytes { extra });
         }
         Ok(frame)
     }
@@ -722,6 +831,10 @@ impl std::error::Error for ReadError {}
 /// bytes consumed (prefix + body).  A length prefix over [`MAX_FRAME`] is
 /// rejected **before** the body is read or any buffer is allocated — the
 /// stream is then unframed and the connection must close.
+///
+/// A `Submit` or `Result` body is read in two pieces: its fixed head, then the
+/// bulk bytes straight into the buffer the decoded frame hands out.  Pass a
+/// buffered reader (`BufReader`) so a small frame costs one `read` call.
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64), ReadError> {
     let mut prefix = [0u8; 4];
     let mut got = 0usize;
@@ -743,34 +856,106 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64), ReadError> {
     if len > MAX_FRAME {
         return Err(ReadError::Frame(FrameError::Oversized { len }));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(ReadError::Io)?;
-    let frame = Frame::decode(&body).map_err(ReadError::Frame)?;
+    // The opcode decides where the head ends: a `Submit` or `Result` body
+    // splits before its bulk bytes, any other body is all head.
+    let mut head = vec![0u8; len.min(1)];
+    r.read_exact(&mut head).map_err(ReadError::Io)?;
+    let head_len = match head.first() {
+        Some(&OP_SUBMIT) => SUBMIT_HEAD,
+        Some(&OP_RESULT) => RESULT_HEAD,
+        _ => len,
+    }
+    .min(len);
+    head.resize(head_len, 0);
+    r.read_exact(&mut head[len.min(1)..])
+        .map_err(ReadError::Io)?;
+    let tail = if head_len < len {
+        let mut tail = vec![0u8; len - head_len];
+        r.read_exact(&mut tail).map_err(ReadError::Io)?;
+        Some(tail)
+    } else {
+        None
+    };
+    let frame = Frame::decode_parts(&head, tail).map_err(ReadError::Frame)?;
     Ok((frame, 4 + len as u64))
 }
 
-/// Writes one length-prefixed frame; returns the bytes written.
+/// Fills the 4 bytes reserved at the front of `buf` with the body length.
+fn patch_prefix(buf: &mut [u8]) {
+    let len = buf.len() - 4;
+    debug_assert!(len <= MAX_FRAME, "outbound frame exceeds MAX_FRAME");
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Writes one length-prefixed frame with a single `write_all`; returns the
+/// bytes written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
-    let body = frame.encode();
-    debug_assert!(body.len() <= MAX_FRAME, "outbound frame exceeds MAX_FRAME");
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
+    write_wire(w, &frame.to_wire())
+}
+
+/// Writes bytes built by [`Frame::to_wire`], [`submit_wire`] or
+/// [`result_wire`] with a single `write_all`; returns the bytes written.
+pub fn write_wire(w: &mut impl Write, wire: &[u8]) -> io::Result<u64> {
+    w.write_all(wire)?;
     w.flush()?;
-    Ok(4 + body.len() as u64)
+    Ok(wire.len() as u64)
+}
+
+/// Dense bytes of `slices` time slices of `grid`.
+fn slices_len<T: WireElem, const D: usize>(grid: &PochoirArray<T, D>, slices: usize) -> usize {
+    slices * grid.sizes().iter().product::<usize>() * T::ELEM.size()
+}
+
+/// Appends time slices `ts` of `grid`, densely packed row-major.
+fn put_slices<T: WireElem, const D: usize>(
+    grid: &PochoirArray<T, D>,
+    ts: impl IntoIterator<Item = i64>,
+    out: &mut Vec<u8>,
+) {
+    for t in ts {
+        for v in grid.snapshot(t) {
+            v.put(out);
+        }
+    }
 }
 
 /// Serializes every time slice of a grid as densely packed row-major bytes —
 /// the `Submit` grid payload.
-pub fn grid_to_bytes<T: WireElem, const D: usize>(
-    grid: &pochoir_core::grid::PochoirArray<T, D>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(grid.time_slices() * grid.slice_len() * T::ELEM.size());
-    for t in 0..grid.time_slices() as i64 {
-        for v in grid.snapshot(t) {
-            v.put(&mut out);
-        }
-    }
+pub fn grid_to_bytes<T: WireElem, const D: usize>(grid: &PochoirArray<T, D>) -> Vec<u8> {
+    let slices = grid.time_slices();
+    let mut out = Vec::with_capacity(slices_len(grid, slices));
+    put_slices(grid, 0..slices as i64, &mut out);
     out
+}
+
+/// The wire bytes of a `Submit` frame carrying every time slice of `grid`:
+/// `head` is the frame with an empty `grid`, and the slices are serialized
+/// straight into the wire buffer (no intermediate [`grid_to_bytes`] copy).
+pub fn submit_wire<T: WireElem, const D: usize>(
+    head: &Frame,
+    grid: &PochoirArray<T, D>,
+) -> Vec<u8> {
+    debug_assert!(matches!(head, Frame::Submit { grid, .. } if grid.is_empty()));
+    let slices = grid.time_slices();
+    head.to_wire_with(slices_len(grid, slices), |out| {
+        put_slices(grid, 0..slices as i64, out)
+    })
+}
+
+/// The wire bytes of the `Result` frame for a drained grid: the final two
+/// time slices (`max(t1-1, 0)` then `t1`), densely packed — exactly what the
+/// canonical traffic digest folds — serialized straight into the wire buffer.
+pub fn result_wire<T: WireElem, const D: usize>(grid: &PochoirArray<T, D>, t1: i64) -> Vec<u8> {
+    let head = Frame::Result {
+        elem: T::ELEM,
+        t1,
+        // Dense cells per slice (snapshot order), not the padded layout length.
+        slice_len: grid.sizes().iter().product::<usize>() as u64,
+        payload: Vec::new(),
+    };
+    head.to_wire_with(slices_len(grid, 2), |out| {
+        put_slices(grid, [(t1 - 1).max(0), t1], out)
+    })
 }
 
 /// Rebuilds a grid from a `Submit` payload: `slices` dense row-major time
@@ -781,7 +966,7 @@ pub fn grid_from_bytes<T: WireElem, const D: usize>(
     slices: usize,
     boundary: pochoir_core::boundary::Boundary<T, D>,
     bytes: &[u8],
-) -> Result<pochoir_core::grid::PochoirArray<T, D>, String> {
+) -> Result<PochoirArray<T, D>, String> {
     let volume: usize = sizes.iter().product();
     let elem = T::ELEM.size();
     let expected = slices * volume * elem;
@@ -792,8 +977,7 @@ pub fn grid_from_bytes<T: WireElem, const D: usize>(
             sizes
         ));
     }
-    let mut a =
-        pochoir_core::grid::PochoirArray::with_depth(sizes, slices.saturating_sub(1).max(1));
+    let mut a = PochoirArray::with_depth(sizes, slices.saturating_sub(1).max(1));
     a.register_boundary(boundary);
     let mut cursor = 0usize;
     for t in 0..slices as i64 {
@@ -804,20 +988,4 @@ pub fn grid_from_bytes<T: WireElem, const D: usize>(
         });
     }
     Ok(a)
-}
-
-/// Extracts the `Result` payload for a drained grid: the final two time slices
-/// (`max(t1-1, 0)` then `t1`), densely packed — exactly what the canonical
-/// traffic digest folds.
-pub fn result_payload<T: WireElem, const D: usize>(
-    grid: &pochoir_core::grid::PochoirArray<T, D>,
-    t1: i64,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 * grid.slice_len() * T::ELEM.size());
-    for t in [(t1 - 1).max(0), t1] {
-        for v in grid.snapshot(t) {
-            v.put(&mut out);
-        }
-    }
-    out
 }

@@ -9,13 +9,15 @@
 //! * the **accept thread** turns each connection into a worker thread
 //!   (registered in a connection table so shutdown can close its socket and
 //!   join it);
-//! * each **connection worker** speaks the frame protocol: it decodes requests,
-//!   builds arrays from wire bytes, and submits into the shared session table;
-//! * the **drain thread** wakes whenever work is queued (condvar, with a
-//!   timeout so a lost notification cannot stall the queue) and drains every
-//!   session with pending work through
-//!   [`StencilServer::try_drain`] — per-tenant panics retire only their own
-//!   chain, exactly as in-process.
+//! * each **connection worker** speaks the frame protocol: it decodes requests
+//!   (through a `BufReader`, on a `TCP_NODELAY` socket), builds arrays from
+//!   wire bytes, and submits into the shared session table; a `Wait` frame
+//!   parks the worker on the completion condvar until its request finishes;
+//! * the **drain thread** sleeps on the work condvar until a submission
+//!   bumps the submission counter (both under the `State` lock, so no wakeup
+//!   is lost and no timer is needed), then drains every session with pending
+//!   work through [`StencilServer::try_drain`] — per-tenant panics retire only
+//!   their own chain, exactly as in-process — and wakes the waiting workers.
 //!
 //! **Locking model.**  There are two lock tiers and they are never nested:
 //! a global `State` mutex guards the request table, the session index, and
@@ -46,7 +48,7 @@
 //! live clients fetched.  See `docs/protocol.md` for the full wire contract.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,7 +72,7 @@ use pochoir_trace::corpus::GIANT_TILES;
 use pochoir_trace::{Trace, TraceApp, TraceRecord};
 
 use crate::protocol::{
-    grid_from_bytes, read_frame, result_payload, wire_error, write_frame, Deadline, ElemType,
+    grid_from_bytes, read_frame, result_wire, wire_error, write_wire, Deadline, ElemType,
     ErrorCode, Frame, ReadError, RequestStatus, WireElem, MAX_FRAME, PROTOCOL_VERSION,
 };
 
@@ -108,9 +110,6 @@ pub struct ServeConfig {
     /// Per-tenant quotas and watermarks installed on every session's server;
     /// `None` admits everything.
     pub admission: Option<AdmissionPolicy>,
-    /// How long the drain thread sleeps when no work is queued (also the upper
-    /// bound on submit→drain latency if a wakeup is lost).
-    pub drain_interval: Duration,
     /// Record admitted traffic as a replayable trace.
     pub record: Option<RecordConfig>,
     /// Per-window cost assumed for wall-clock deadline conversion until the
@@ -134,7 +133,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             admission: None,
-            drain_interval: Duration::from_millis(2),
             record: None,
             assumed_window_micros: 50.0,
             max_sessions: 64,
@@ -200,17 +198,15 @@ struct SessionInner {
 /// discarded instead of stored.
 const ORPHANED: u64 = u64::MAX;
 
-struct ResultPayload {
-    elem: ElemType,
-    t1: i64,
-    slice_len: u64,
-    bytes: Vec<u8>,
-}
-
 enum ReqState {
     Queued,
-    Done(ResultPayload),
-    Failed { code: ErrorCode, detail: String },
+    /// The finished `Result` frame's wire bytes, built by the drain thread
+    /// straight from the drained grid.
+    Done(Vec<u8>),
+    Failed {
+        code: ErrorCode,
+        detail: String,
+    },
 }
 
 struct Request {
@@ -224,6 +220,9 @@ struct State {
     session_ids: HashMap<(TraceApp, Vec<u64>, i64), u32>,
     requests: HashMap<u64, Request>,
     next_request: u64,
+    /// Admitted submissions so far.  Bumped after the tickets are queued; the
+    /// drain thread sleeps until it moves (or shutdown is raised).
+    submissions: u64,
     /// Logical arrival clock for record mode: one tick per admitted submission.
     arrival_clock: u64,
     record: Vec<TraceRecord>,
@@ -241,7 +240,12 @@ struct Shared {
     config: ServeConfig,
     state: Mutex<State>,
     conns: Mutex<ConnTable>,
+    /// Paired with `state`: signalled when `submissions` moves or shutdown is
+    /// raised; the drain thread waits on it.
     work: Condvar,
+    /// Paired with `state`: signalled when drained requests are stored or
+    /// shutdown is raised; `Wait` handlers wait on it.
+    done: Condvar,
     shutdown: AtomicBool,
     next_conn: AtomicU64,
 }
@@ -265,6 +269,7 @@ impl Server {
             state: Mutex::new(State::default()),
             conns: Mutex::new(ConnTable::default()),
             work: Condvar::new(),
+            done: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(0),
         });
@@ -294,14 +299,20 @@ impl Server {
     }
 
     /// Stops the service and joins every thread it owns: the shutdown flag is
-    /// raised, every live connection socket is shut down so workers blocked in
-    /// a read or write fail out and retire their own chains, the workers and
-    /// the accept thread are joined, the drain thread finishes whatever is
-    /// still queued and is joined, and only then — with no writer left — is
-    /// the record trace written (if recording).
+    /// raised and both condvars are signalled under the `State` lock (so
+    /// neither the drain thread nor a worker blocked in `Wait` can miss it),
+    /// every live connection socket is shut down so workers blocked in a read
+    /// or write fail out and retire their own chains, the workers and the
+    /// accept thread are joined, the drain thread finishes whatever is still
+    /// queued and is joined, and only then — with no writer left — is the
+    /// record trace written (if recording).
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work.notify_all();
+        {
+            let _state = lock(&self.shared.state);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+            self.shared.work.notify_all();
+            self.shared.done.notify_all();
+        }
         let (streams, workers) = {
             let mut conns = lock(&self.shared.conns);
             (
@@ -320,7 +331,6 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        self.shared.work.notify_all();
         if let Some(h) = self.drain.take() {
             let _ = h.join();
         }
@@ -353,6 +363,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             return;
         }
         Runtime::global().note(Counter::NetConnections, 1);
+        // Replies are one write each; without NODELAY a small reply waits for
+        // the ACK of the previous one, which the peer delays.
+        let _ = stream.set_nodelay(true);
         let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
         let worker_shared = Arc::clone(&shared);
         let hook = stream.try_clone().ok();
@@ -406,13 +419,14 @@ fn orphan_connection(shared: &Shared, conn: u64) {
     }
 }
 
-fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
+fn connection_loop(stream: TcpStream, conn: u64, shared: &Shared) {
     let rt = Runtime::global();
+    // Frames are read through the buffer; replies go straight to the socket.
+    // Shutdown ends the loop by shutting the socket down, so frames the peer
+    // sent before that (a polite `Close`, say) are still read and counted.
+    let mut reader = BufReader::new(stream);
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let frame = match read_frame(&mut stream) {
+        let frame = match read_frame(&mut reader) {
             Ok((frame, bytes)) => {
                 rt.note(Counter::NetFramesIn, 1);
                 rt.note(Counter::NetBytesIn, bytes);
@@ -423,33 +437,30 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                 // The stream may be unframed past this point (e.g. an
                 // oversized prefix) — answer the typed error, then close.
                 rt.note(Counter::NetProtocolErrors, 1);
-                let _ = send(
-                    &mut stream,
-                    &Frame::Error {
-                        code: e.code(),
-                        detail: e.to_string(),
-                    },
-                );
+                let error = Frame::Error {
+                    code: e.code(),
+                    detail: e.to_string(),
+                };
+                let _ = send(reader.get_mut(), &error.to_wire());
                 return;
             }
         };
-        let response = match frame {
+        let reply = match frame {
             Frame::Hello { version } => {
                 if version == PROTOCOL_VERSION {
                     Frame::HelloAck {
                         version: PROTOCOL_VERSION,
                     }
+                    .to_wire()
                 } else {
                     rt.note(Counter::NetProtocolErrors, 1);
-                    let _ = send(
-                        &mut stream,
-                        &Frame::Error {
-                            code: ErrorCode::VersionMismatch,
-                            detail: format!(
-                                "server speaks version {PROTOCOL_VERSION}, client sent {version}"
-                            ),
-                        },
-                    );
+                    let error = Frame::Error {
+                        code: ErrorCode::VersionMismatch,
+                        detail: format!(
+                            "server speaks version {PROTOCOL_VERSION}, client sent {version}"
+                        ),
+                    };
+                    let _ = send(reader.get_mut(), &error.to_wire());
                     return;
                 }
             }
@@ -457,7 +468,7 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                 app,
                 geometry,
                 chunk,
-            } => handle_negotiate(shared, app, geometry, chunk),
+            } => handle_negotiate(shared, app, geometry, chunk).to_wire(),
             Frame::Submit {
                 session,
                 tenant,
@@ -469,13 +480,22 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                 grid,
             } => handle_submit(
                 shared, conn, session, tenant, t0, t1, weight, deadline, elem, &grid,
-            ),
-            Frame::Poll { request } => handle_poll(shared, conn, request),
+            )
+            .to_wire(),
+            Frame::Poll { request } => match request_status(&lock(&shared.state), conn, request) {
+                Ok(status) => Frame::Status { status }.to_wire(),
+                Err(error) => error.to_wire(),
+            },
+            Frame::Wait {
+                request,
+                timeout_ms,
+            } => handle_wait(shared, conn, request, timeout_ms).to_wire(),
+            // A finished result is stored as wire bytes by the drain thread.
             Frame::Fetch { request } => handle_fetch(shared, conn, request),
             Frame::Flush => {
                 let mut state = lock(&shared.state);
                 let records = write_record(shared, &mut state);
-                Frame::Flushed { records }
+                Frame::Flushed { records }.to_wire()
             }
             Frame::Close => return,
             // Server-to-client opcodes arriving at the server are a protocol
@@ -486,18 +506,19 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                     code: ErrorCode::BadFrame,
                     detail: format!("unexpected client frame: {other:?}"),
                 }
+                .to_wire()
             }
         };
-        if !send(&mut stream, &response) {
+        if !send(reader.get_mut(), &reply) {
             return;
         }
     }
 }
 
-/// Writes one frame, folding the byte count into the runtime metrics; `false`
-/// means the peer is gone.
-fn send(stream: &mut TcpStream, frame: &Frame) -> bool {
-    match write_frame(stream, frame) {
+/// Writes one frame's wire bytes, folding the byte count into the runtime
+/// metrics; `false` means the peer is gone.
+fn send(stream: &mut TcpStream, wire: &[u8]) -> bool {
+    match write_wire(stream, wire) {
         Ok(bytes) => {
             let rt = Runtime::global();
             rt.note(Counter::NetFramesOut, 1);
@@ -830,6 +851,7 @@ fn handle_submit(
             });
         }
     }
+    state.submissions += 1;
     shared.work.notify_all();
     Frame::Submitted { request }
 }
@@ -848,63 +870,84 @@ fn wall_to_ticks(wall_micros: u64, cost_micros: f64, windows_needed: u64) -> u64
     ticks.max(windows_needed)
 }
 
-fn handle_poll(shared: &Shared, conn: u64, request: u64) -> Frame {
-    let state = lock(&shared.state);
+/// Where `conn`'s `request` stands (the `Poll` answer), or the typed error
+/// frame for a request that is unknown or not `conn`'s.
+fn request_status(state: &State, conn: u64, request: u64) -> Result<RequestStatus, Frame> {
     match state.requests.get(&request) {
-        None => Frame::Error {
+        None => Err(Frame::Error {
             code: ErrorCode::UnknownRequest,
             detail: format!("request {request} is unknown (never submitted, fetched, or retired)"),
-        },
-        Some(r) if r.conn != conn => Frame::Error {
+        }),
+        Some(r) if r.conn != conn => Err(Frame::Error {
             code: ErrorCode::UnknownRequest,
             detail: format!("request {request} belongs to another connection"),
-        },
-        Some(r) => Frame::Status {
-            status: match &r.state {
-                ReqState::Queued => RequestStatus::Pending,
-                ReqState::Done(_) => RequestStatus::Done,
-                ReqState::Failed { code, detail } => RequestStatus::Failed {
-                    code: *code,
-                    detail: detail.clone(),
-                },
+        }),
+        Some(r) => Ok(match &r.state {
+            ReqState::Queued => RequestStatus::Pending,
+            ReqState::Done(_) => RequestStatus::Done,
+            ReqState::Failed { code, detail } => RequestStatus::Failed {
+                code: *code,
+                detail: detail.clone(),
             },
-        },
+        }),
     }
 }
 
-fn handle_fetch(shared: &Shared, conn: u64, request: u64) -> Frame {
+/// Answers `Wait`: blocks on the completion condvar until the request leaves
+/// `Queued`, the client's `timeout_ms` passes, or shutdown is raised, then
+/// reports where the request stands.
+fn handle_wait(shared: &Shared, conn: u64, request: u64, timeout_ms: u64) -> Frame {
+    // A deadline past what `Instant` can represent means "no deadline".
+    let deadline = Instant::now().checked_add(Duration::from_millis(timeout_ms));
     let mut state = lock(&shared.state);
-    match state.requests.get(&request) {
-        None => {
-            return Frame::Error {
-                code: ErrorCode::UnknownRequest,
-                detail: format!("request {request} is unknown"),
-            }
+    loop {
+        let status = match request_status(&state, conn, request) {
+            Ok(status) => status,
+            Err(error) => return error,
+        };
+        if status != RequestStatus::Pending || shared.shutdown.load(Ordering::SeqCst) {
+            return Frame::Status { status };
         }
-        Some(r) if r.conn != conn => {
-            return Frame::Error {
-                code: ErrorCode::UnknownRequest,
-                detail: format!("request {request} belongs to another connection"),
+        state = match deadline {
+            None => shared.done.wait(state).unwrap_or_else(|p| p.into_inner()),
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Frame::Status { status };
+                }
+                let waited = shared.done.wait_timeout(state, left);
+                waited.unwrap_or_else(|p| p.into_inner()).0
             }
-        }
-        Some(r) if matches!(r.state, ReqState::Queued) => {
-            return Frame::Error {
-                code: ErrorCode::NotReady,
-                detail: format!("request {request} has not finished draining"),
-            }
-        }
-        Some(_) => {}
+        };
+    }
+}
+
+/// Answers `Fetch` with wire bytes: the stored `Result` frame, or an error.
+fn handle_fetch(shared: &Shared, conn: u64, request: u64) -> Vec<u8> {
+    let mut state = lock(&shared.state);
+    let refusal = match state.requests.get(&request) {
+        None => Some((
+            ErrorCode::UnknownRequest,
+            format!("request {request} is unknown"),
+        )),
+        Some(r) if r.conn != conn => Some((
+            ErrorCode::UnknownRequest,
+            format!("request {request} belongs to another connection"),
+        )),
+        Some(r) if matches!(r.state, ReqState::Queued) => Some((
+            ErrorCode::NotReady,
+            format!("request {request} has not finished draining"),
+        )),
+        Some(_) => None,
+    };
+    if let Some((code, detail)) = refusal {
+        return Frame::Error { code, detail }.to_wire();
     }
     // A finished fetch consumes the request either way.
     let r = state.requests.remove(&request).expect("checked above");
     match r.state {
-        ReqState::Done(p) => Frame::Result {
-            elem: p.elem,
-            t1: p.t1,
-            slice_len: p.slice_len,
-            payload: p.bytes,
-        },
-        ReqState::Failed { code, detail } => Frame::Error { code, detail },
+        ReqState::Done(wire) => wire,
+        ReqState::Failed { code, detail } => Frame::Error { code, detail }.to_wire(),
         ReqState::Queued => unreachable!("queued requests returned NotReady above"),
     }
 }
@@ -932,10 +975,14 @@ fn write_record(shared: &Shared, state: &mut State) -> u64 {
 
 fn drain_loop(shared: Arc<Shared>) {
     loop {
-        // Snapshot the session list (cheap Arc clones), then drain each busy
-        // session under its own lock only: submits, polls, and fetches on the
-        // global state lock keep flowing while a session computes.
-        let sessions: Vec<Arc<SessionSlot>> = lock(&shared.state).sessions.clone();
+        // Snapshot the session list (cheap Arc clones) and the submission
+        // counter, then drain each busy session under its own lock only:
+        // submits, polls, and fetches on the global state lock keep flowing
+        // while a session computes.
+        let (sessions, seen) = {
+            let state = lock(&shared.state);
+            (state.sessions.clone(), state.submissions)
+        };
         let mut drained_any = false;
         for slot in &sessions {
             let completions = {
@@ -947,30 +994,32 @@ fn drain_loop(shared: Arc<Shared>) {
             };
             drained_any = true;
             store_completions(&mut lock(&shared.state), completions);
+            shared.done.notify_all();
         }
         if drained_any {
             continue;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+        // Every ticket queued before `seen` was counted is drained; a later
+        // submission moves the counter under this lock before notifying, so
+        // the untimed wait cannot miss it.  Shutdown returns only once no
+        // submission is left undrained.
+        let mut state = lock(&shared.state);
+        while state.submissions == seen {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            state = shared.work.wait(state).unwrap_or_else(|p| p.into_inner());
         }
-        let state = lock(&shared.state);
-        drop(
-            shared
-                .work
-                .wait_timeout(state, shared.config.drain_interval)
-                .unwrap_or_else(|p| p.into_inner()),
-        );
     }
 }
 
-/// Drains one session through the pipelined scheduler: one payload (or `None`
-/// if the drain itself failed) per queued ticket, plus the per-ticket
-/// outcomes from the drain report.
+/// Drains one session through the pipelined scheduler: the `Result` frame's
+/// wire bytes for each lead ticket (`None` for member tickets, or if the
+/// drain itself failed), plus the per-ticket outcomes from the drain report.
 fn drain_tickets<T, K, const D: usize>(
     s: &mut StencilServer<T, K, D>,
     queued: &[QueuedTicket],
-) -> (Vec<Option<ResultPayload>>, Vec<TicketOutcome>)
+) -> (Vec<Option<Vec<u8>>>, Vec<TicketOutcome>)
 where
     T: WireElem + Copy + Send + Sync + 'static,
     K: StencilKernel<T, D>,
@@ -984,14 +1033,10 @@ where
         .iter()
         .enumerate()
         .map(|(i, q)| {
-            results.get(i).map(|grid| ResultPayload {
-                elem: T::ELEM,
-                t1: q.t1,
-                // Dense cells per slice (snapshot order), not the padded
-                // layout length.
-                slice_len: grid.sizes().iter().product::<usize>() as u64,
-                bytes: result_payload(grid, q.t1),
-            })
+            results
+                .get(i)
+                .filter(|_| q.lead)
+                .map(|grid| result_wire(grid, q.t1))
         })
         .collect();
     (payloads, outcomes)

@@ -9,13 +9,19 @@
 //!   geometries keep re-joining;
 //! * geometries whose submit payload can never fit in a frame are refused at
 //!   negotiation, and oversized step spans are refused at submit — in both
-//!   cases with a typed error that leaves the connection usable.
+//!   cases with a typed error that leaves the connection usable;
+//! * shutdown joins promptly while a client is blocked in an untimed `Wait`
+//!   on a long drain.
 
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
-use pochoir_core::engine::{Coarsening, ExecutionPlan, Sharding, StencilServer, SubmitOptions};
+use pochoir_core::engine::{
+    run_batch, BatchRun, Coarsening, ExecutionPlan, Sharding, StencilServer, SubmitOptions,
+};
 use pochoir_core::kernel::StencilSpec;
-use pochoir_serve::protocol::Deadline;
+use pochoir_runtime::Runtime;
+use pochoir_serve::protocol::{Deadline, RequestStatus};
 use pochoir_serve::server::{ServeConfig, Server};
 use pochoir_serve::{Client, ClientError, ErrorCode};
 use pochoir_stencils::heat::HeatKernel;
@@ -171,4 +177,81 @@ fn oversized_spans_and_geometries_are_refused_typed() {
         .expect("connection survives typed rejections");
     client.close().expect("close");
     server.shutdown();
+}
+
+/// Steps of a 64² heat2d run that take about `target` on this build, measured
+/// in-process, so the drain below is long in debug and release builds alike.
+/// The probe doubles until it runs long enough that fixed costs do not
+/// inflate the per-step time.
+fn steps_lasting(target: Duration) -> i64 {
+    let server = heat::serve_2d([64, 64], WINDOW);
+    let mut probe: i64 = 64;
+    loop {
+        let mut grid = heat_grid([64, 64], 0);
+        let started = Instant::now();
+        run_batch(
+            server.program(),
+            server.kernel(),
+            &mut [BatchRun {
+                array: &mut grid,
+                t0: 0,
+                t1: probe,
+            }],
+            1,
+            Runtime::global(),
+        );
+        let took = started.elapsed();
+        if took >= Duration::from_millis(50) || probe >= 1 << 20 {
+            let per_step = took.as_secs_f64() / probe as f64;
+            return ((target.as_secs_f64() / per_step) as i64).clamp(probe, 1 << 20);
+        }
+        probe *= 2;
+    }
+}
+
+#[test]
+fn shutdown_joins_promptly_while_a_client_is_blocked_in_wait() {
+    const DRAIN: Duration = Duration::from_secs(3);
+    let steps = steps_lasting(DRAIN);
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+
+    let (submitted_tx, submitted_rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let mut client = Client::connect(&addr).expect("connect");
+        let session = client
+            .negotiate(TraceApp::Heat2d, &[64, 64], WINDOW)
+            .expect("negotiate");
+        let request = client
+            .submit_tenant(&session, 0, steps, 1, Deadline::None)
+            .expect("submit the long drain");
+        submitted_tx.send(()).expect("signal the submit");
+        // No deadline: only completion or shutdown can answer this.
+        let waited = client.wait(request, Duration::MAX);
+        (waited, Instant::now())
+    });
+    submitted_rx.recv().expect("the long request was submitted");
+    // Let the `Wait` frame reach the server while the drain runs.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let shutdown_started = Instant::now();
+    std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(()).expect("report the shutdown");
+    });
+    done_rx
+        .recv_timeout(DRAIN * 10)
+        .expect("shutdown must not hang on a worker blocked in Wait");
+    let (waited, released) = waiter.join().expect("waiting client");
+    assert!(
+        !matches!(waited, Ok(RequestStatus::Done)),
+        "the drain must still have been running at shutdown, got {waited:?}"
+    );
+    assert!(
+        released.duration_since(shutdown_started) < DRAIN / 2,
+        "the blocked client must be released at shutdown, not at drain end \
+         ({:?} after shutdown began)",
+        released.duration_since(shutdown_started)
+    );
 }

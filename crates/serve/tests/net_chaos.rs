@@ -1,5 +1,5 @@
-//! Network chaos pin: a client that dies mid-submit or vanishes mid-poll must
-//! retire only its own work.  Well-behaved survivors sharing the server drain
+//! Network chaos pin: a client that dies mid-submit, or vanishes mid-poll or
+//! mid-wait, must retire only its own work.  Well-behaved survivors sharing the server drain
 //! to results bitwise-equal to a fault-free run, and the server keeps
 //! accepting fresh connections afterwards.
 
@@ -104,17 +104,14 @@ fn chaos_truncated_submit(addr: &str) {
     drop(stream); // mid-frame disconnect
 }
 
-/// Dies mid-poll: submits a valid grid, polls once, then vanishes without
-/// fetching.  Its queued/finished work must be orphaned, not delivered to or
-/// blocked on anyone else.
-fn chaos_abandoned_poll(addr: &str) {
-    let (mut stream, session) = raw_session(addr);
-    let grid = heat_grid::<2>([16, 16], 77);
+/// Submits tenant `tenant`'s grid on a raw session; returns the request id.
+fn raw_submit(stream: &mut TcpStream, session: u32, tenant: u32) -> u64 {
+    let grid = heat_grid::<2>([16, 16], tenant);
     write_frame(
-        &mut stream,
+        stream,
         &Frame::Submit {
             session,
-            tenant: 77,
+            tenant,
             t0: 0,
             t1: T1,
             weight: 1,
@@ -124,13 +121,39 @@ fn chaos_abandoned_poll(addr: &str) {
         },
     )
     .expect("submit");
-    let request = match read_frame(&mut stream).expect("submitted").0 {
+    match read_frame(stream).expect("submitted").0 {
         Frame::Submitted { request } => request,
         other => panic!("expected Submitted, got {other:?}"),
-    };
+    }
+}
+
+/// Dies mid-poll: submits a valid grid, polls once, then vanishes without
+/// fetching.  Its queued/finished work must be orphaned, not delivered to or
+/// blocked on anyone else.
+fn chaos_abandoned_poll(addr: &str) {
+    let (mut stream, session) = raw_session(addr);
+    let request = raw_submit(&mut stream, session, 77);
     write_frame(&mut stream, &Frame::Poll { request }).expect("poll");
     let _ = read_frame(&mut stream).expect("status");
     drop(stream); // abandons the request forever
+}
+
+/// Vanishes mid-wait: submits a valid grid, sends an untimed `Wait`, and
+/// drops the socket before the answer arrives.  The worker parked on the
+/// completion condvar must wake, find its peer gone, and retire the request
+/// without disturbing anyone else.
+fn chaos_vanished_wait(addr: &str) {
+    let (mut stream, session) = raw_session(addr);
+    let request = raw_submit(&mut stream, session, 55);
+    write_frame(
+        &mut stream,
+        &Frame::Wait {
+            request,
+            timeout_ms: u64::MAX,
+        },
+    )
+    .expect("wait");
+    drop(stream); // gone before the Status reply
 }
 
 #[test]
@@ -140,7 +163,7 @@ fn client_failures_retire_only_their_own_chains() {
     let baseline = run_survivors(&baseline_server.addr().to_string());
     baseline_server.shutdown();
 
-    // Chaos run: the same survivors share the server with two misbehaving
+    // Chaos run: the same survivors share the server with three misbehaving
     // clients injected while they work.
     let server = Server::start(ServeConfig::default()).expect("chaos server");
     let addr = server.addr().to_string();
@@ -150,6 +173,7 @@ fn client_failures_retire_only_their_own_chains() {
         std::thread::spawn(move || {
             chaos_truncated_submit(&addr);
             chaos_abandoned_poll(&addr);
+            chaos_vanished_wait(&addr);
         })
     };
     let survivors = run_survivors(&addr);

@@ -78,7 +78,7 @@ fn net_counters_conserve_frames_and_count_protocol_errors() {
     });
     let closes = u64::from(CLIENTS);
     assert_eq!(clean.net_connections, closes);
-    // Hello, Negotiate, Submit, at least one Poll, Fetch, Close per client.
+    // Hello, Negotiate, Submit, Wait, Fetch, Close per client.
     assert!(
         clean.net_frames_in >= 6 * closes,
         "frames in: {}",

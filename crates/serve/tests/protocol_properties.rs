@@ -1,12 +1,18 @@
 //! Property-pins the wire codec: `decode ∘ encode` is the identity over
-//! arbitrary frames, and malformed inputs — truncations, oversized length
+//! arbitrary frames, malformed inputs — truncations, oversized length
 //! prefixes, garbage bytes — are rejected with structured errors (no panic,
-//! no allocation beyond the bytes present).
+//! no allocation beyond the bytes present), `write_frame` emits exactly the
+//! length prefix followed by the body, and `read_frame` decodes a stream the
+//! same way however the reader splits it.
 
+use std::io::{BufReader, Read};
+
+use pochoir_core::grid::PochoirArray;
 use pochoir_serve::protocol::{
-    read_frame, Deadline, ElemType, ErrorCode, Frame, FrameError, ReadError, RequestStatus,
-    MAX_FRAME,
+    grid_to_bytes, read_frame, result_wire, submit_wire, write_frame, Deadline, ElemType,
+    ErrorCode, Frame, FrameError, ReadError, RequestStatus, WireElem, MAX_FRAME,
 };
+use pochoir_stencils::traffic::{heat_grid, life_grid, wave_grid};
 use pochoir_trace::{Rng, TraceApp, TRACE_APPS};
 use proptest::prelude::*;
 
@@ -60,7 +66,7 @@ fn arb_status(rng: &mut Rng) -> RequestStatus {
 /// the same space reproducibly).
 fn arb_frame(seed: u64) -> Frame {
     let mut rng = Rng::new(seed ^ 0x0DDC_0FFE_E5E5_AA55);
-    match rng.below(14) {
+    match rng.below(15) {
         0 => Frame::Hello {
             version: rng.below(1 << 32) as u32,
         },
@@ -119,6 +125,14 @@ fn arb_frame(seed: u64) -> Frame {
         12 => Frame::Flushed {
             records: rng.below(1 << 32),
         },
+        13 => Frame::Wait {
+            request: rng.below(1 << 48),
+            timeout_ms: if rng.below(4) == 0 {
+                u64::MAX
+            } else {
+                rng.below(1 << 20)
+            },
+        },
         _ => Frame::Error {
             code: ERROR_CODES[rng.below(ERROR_CODES.len() as u64) as usize],
             detail: arb_string(&mut rng, 48),
@@ -126,8 +140,88 @@ fn arb_frame(seed: u64) -> Frame {
     }
 }
 
+/// A reader that hands out one byte per `read` call — the worst split a
+/// socket can produce.
+struct OneByte<'a>(&'a [u8]);
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((&b, rest)), Some(slot)) => {
+                *slot = b;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+/// `read_frame`'s outcome with the transport error flattened to its kind, so
+/// two runs over differently split readers can be compared.
+fn read_outcome(r: &mut impl Read) -> Result<(Frame, u64), String> {
+    read_frame(r).map_err(|e| match e {
+        ReadError::Io(e) => format!("io {:?}", e.kind()),
+        other => other.to_string(),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One write per frame: `write_frame` emits the little-endian body length
+    /// followed by exactly `encode()`, and reports that many bytes.
+    #[test]
+    fn write_frame_is_length_prefix_then_body(seed in 0u64..u64::MAX) {
+        let frame = arb_frame(seed);
+        let body = frame.encode();
+        let mut wire = Vec::new();
+        let written = write_frame(&mut wire, &frame).expect("write to a Vec");
+        prop_assert_eq!(written, wire.len() as u64);
+        prop_assert_eq!(&wire[..4], &(body.len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(&wire[4..], &body[..]);
+    }
+
+    /// A stream of frames reads back identically through a small `BufReader`
+    /// and through a reader yielding one byte per `read`.
+    #[test]
+    fn read_frame_ignores_how_the_stream_is_split(seed in 0u64..u64::MAX, n in 1usize..6, cap in 1usize..64) {
+        let frames: Vec<Frame> = (0..n as u64).map(|i| arb_frame(seed.wrapping_add(i))).collect();
+        let mut wire = Vec::new();
+        for f in &frames {
+            write_frame(&mut wire, f).expect("write to a Vec");
+        }
+        let mut buffered = BufReader::with_capacity(cap, &wire[..]);
+        let mut trickle = OneByte(&wire);
+        for f in &frames {
+            let want = Ok((f.clone(), 4 + f.encode().len() as u64));
+            prop_assert_eq!(read_outcome(&mut buffered), want.clone());
+            prop_assert_eq!(read_outcome(&mut trickle), want);
+        }
+        prop_assert!(matches!(read_frame(&mut buffered), Err(ReadError::Eof)));
+        prop_assert!(matches!(read_frame(&mut trickle), Err(ReadError::Eof)));
+    }
+
+    /// `read_frame` reads bulk bytes apart from the frame head; over a
+    /// corrupted body it must still reach exactly the verdict of
+    /// `Frame::decode` on the whole body.
+    #[test]
+    fn read_frame_agrees_with_decode_on_corrupt_bodies(seed in 0u64..u64::MAX, pos in 0usize..4096, flip in 0u8..255) {
+        let mut body = arb_frame(seed).encode();
+        let pos = pos % body.len();
+        body[pos] ^= flip;
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        let via_stream = read_frame(&mut &wire[..]);
+        match (Frame::decode(&body), via_stream) {
+            (Ok(want), Ok((got, n))) => {
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(n, wire.len() as u64);
+            }
+            (Err(want), Err(ReadError::Frame(got))) => prop_assert_eq!(got, want),
+            (want, got) => prop_assert!(false, "decode {want:?} but read_frame {got:?}"),
+        }
+    }
 
     /// The round trip every connection relies on: decoding an encoded frame
     /// reproduces the value exactly.
@@ -218,6 +312,47 @@ fn eof_positions_are_distinguished() {
     framed.pop(); // lose the last body byte
     let mut stream: &[u8] = &framed;
     assert!(matches!(read_frame(&mut stream), Err(ReadError::Io(_))));
+}
+
+/// `submit_wire` and `result_wire` serialize grid slices straight into the
+/// wire buffer; the bytes must equal the frame built the long way (dense
+/// slices copied out first), including for grids whose rows are padded in
+/// storage (48 `u8` cells pad to 64; 20 `f64` cells pad to 24).
+#[test]
+fn grid_wire_builders_match_the_frame_encoding() {
+    fn check<T: WireElem + Default, const D: usize>(grid: &PochoirArray<T, D>) {
+        let head = |grid: Vec<u8>| Frame::Submit {
+            session: 3,
+            tenant: 7,
+            t0: 0,
+            t1: 5,
+            weight: 2,
+            deadline: Deadline::Logical(9),
+            elem: T::ELEM,
+            grid,
+        };
+        assert_eq!(
+            submit_wire(&head(Vec::new()), grid),
+            head(grid_to_bytes(grid)).to_wire()
+        );
+        let t1 = 5;
+        let mut payload = Vec::new();
+        for t in [t1 - 1, t1] {
+            for v in grid.snapshot(t) {
+                v.put(&mut payload);
+            }
+        }
+        let result = Frame::Result {
+            elem: T::ELEM,
+            t1,
+            slice_len: grid.sizes().iter().product::<usize>() as u64,
+            payload,
+        };
+        assert_eq!(result_wire(grid, t1), result.to_wire());
+    }
+    check(&life_grid([30, 48], 4));
+    check(&heat_grid([12, 20], 5));
+    check(&wave_grid([6, 5, 20], 6));
 }
 
 /// Trailing bytes after a decoded frame are rejected — a frame is its body,

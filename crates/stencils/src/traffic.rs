@@ -58,13 +58,16 @@ fn fnv_fold(mut hash: u64, value: u64) -> u64 {
 /// fold over a grid's final two snapshots, so a client-side digest of fetched
 /// bytes equals a server-side digest of the drained grid.
 pub fn digest_values<T: DigestBits>(slices: &[Vec<T>]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for slice in slices {
-        for v in slice {
-            hash = fnv_fold(hash, v.digest_bits());
-        }
-    }
-    hash
+    digest_iter(slices.iter().flatten().copied())
+}
+
+/// [`digest_values`] over one flat run of values: the fold never sees slice
+/// boundaries, so a payload can be digested as it is read, without being
+/// split into slices first.
+pub fn digest_iter<T: DigestBits>(values: impl IntoIterator<Item = T>) -> u64 {
+    values
+        .into_iter()
+        .fold(FNV_OFFSET, |hash, v| fnv_fold(hash, v.digest_bits()))
 }
 
 /// FNV-1a over the final two time slices of a drained grid (`t1 - 1` then `t1`) —
